@@ -21,7 +21,6 @@ import numpy as np
 from . import correlators, inequalities
 from .correlators import QuadratureConfig, SelectionPolicy
 from .dynamics import DynamicsParams, InitialPhase, measured_trajectory, trajectory_product
-from ._threads import parallel_map
 
 VALIDATE_TOLERANCE = 1e-6
 
@@ -141,6 +140,9 @@ def _resolve(args: argparse.Namespace) -> dict:
         value = getattr(args, key, None)
         if value is not None:
             cfg[key] = value
+    for key in sorted(_FLOAT_KEYS & cfg.keys()):
+        if not math.isfinite(cfg[key]):
+            raise ConfigError(f"{key} must be finite, got {cfg[key]!r}")
     return cfg
 
 
@@ -281,7 +283,7 @@ def cmd_fig2(cfg: dict) -> int:
         a_eps = correlators.selection_factor(SelectionPolicy(eps))
         return (eps,) + tuple((a_eps * dk - b) / b for dk, b in maxima)
 
-    rows = parallel_map(one_row, eps_grid.tolist())
+    rows = [one_row(eps) for eps in eps_grid.tolist()]
     _emit_table(cfg, ["epsilon", "delta_b_max_paz", "delta_b_max_santos"], rows)
     return 0
 

@@ -10,8 +10,9 @@ time-independent factor
 
 times the same cosine.  ``selection_factor`` and ``k_selective_analytic``
 implement the closed forms; ``k_oracle`` recomputes the selective correlator
-by brute force, enumerating measured trajectories on a phase grid, and is the
-independent check of the factorization.
+by brute force, from the simulated outcome probabilities of measured
+trajectories on a phase grid, and is the independent check of the
+factorization.
 
 The oracle's normalization is the plain mean over the phase period of the
 outcome-summed trajectory products.  With no selection the per-phase outcome
@@ -28,7 +29,6 @@ from typing import Sequence
 import numpy as np
 
 from .dynamics import DynamicsParams, InitialPhase, born_probability, initial_state
-from ._threads import parallel_map
 
 QUADRATURE_SCHEMES = ("uniform-midpoint", "gauss-legendre")
 
@@ -154,29 +154,37 @@ def k_oracle_grid(
 ) -> np.ndarray:
     """Brute-force selective correlators on an (epsilon, lag) grid.
 
-    For every phase node t' the four outcome sequences of a two-measurement
-    trajectory (first at t1, second at t1 + lag) are enumerated; sequences
-    whose first outcome fails the selection threshold are dropped, and the
-    signed final squared norms of the survivors are accumulated.  The result
-    is the plain mean over one full phase period.
+    A two-measurement trajectory that starts in ``|+>`` at phase t', is
+    measured at t1 with outcome q1 and at t1 + lag with outcome q2, ends with
+    squared norm ``p1[q1](t') * cond[q1, q2](lag)``: the first collapse leaves
+    an outcome eigenstate, so the second outcome's conditional probability
+    depends on the lag alone.  Summing the signed outcome products of the
+    sequences whose first outcome passes the threshold and averaging over one
+    phase period therefore reduces, for each epsilon, to two phase integrals
 
-    The integrand is smooth except for jumps at the phases where a
-    first-outcome probability crosses epsilon.  A plain node-indicator rule
-    would be O(eps / n_nodes) wrong near those jumps, so the jump positions
-    are located by bisection on the simulated pre-measurement probability and
-    the straddling cells are re-integrated on their smooth sub-segments.
-    This keeps the quadrature deterministic while pushing the error down to
-    the smooth-piece level (~1e-8 at the default node count).
+        I_q(eps) = mean over t' of p1[q](t') * [p1[q](t') >= eps]
 
-    ``select_both`` additionally applies the threshold to the second outcome
-    (exploratory; the published factorization selects on the first only).
-    The second measurement happens on a post-collapse eigenstate, so its
-    conditional probabilities depend only on the lag and introduce no new
-    phase-grid discontinuities.
+    at O(nodes) cost, followed by an O(lags) expansion
 
-    Returns an array of shape ``(len(epsilons), len(lags))``.  Results are
-    independent of the evaluation order and of how many worker threads the
-    TBELL_THREADS cap allows.
+        K(eps, lag) = I_+ * (c[+, +] - c[+, -]) - I_- * (c[-, +] - c[-, -])
+
+    where ``c = cond`` with the entries below epsilon zeroed when
+    ``select_both`` is set.  ``select_both`` applies the threshold to the
+    second outcome too (exploratory; the published factorization selects on
+    the first only); it adds no phase-grid discontinuity.
+
+    The integrand jumps where a first-outcome probability crosses epsilon.
+    A plain node-indicator rule would be O(eps / n_nodes) wrong near those
+    jumps, so the jump positions are located by bisection on the simulated
+    pre-measurement probability, for all epsilons at once, and the phase
+    quadrature is split at them.  The midpoint scheme keeps its uniform cells
+    and replaces each cell that straddles a jump by sub-nodes on its smooth
+    pieces; the Gauss-Legendre scheme lays panels on each smooth piece.  This
+    keeps the quadrature deterministic while pushing the error down to the
+    smooth-piece level (~1e-8 for midpoint at the default node count).
+
+    Returns an array of shape ``(len(epsilons), len(lags))``; each row
+    depends on its own epsilon only.
     """
     if quad is None:
         quad = QuadratureConfig()
@@ -190,201 +198,167 @@ def k_oracle_grid(
         raise ValueError("epsilons must lie in [0, 1]")
 
     if quad.scheme == "uniform-midpoint":
-        rows = _oracle_rows_midpoint(t1, lags, epsilons, params, quad.n_nodes, select_both)
+        phase_rule = _midpoint_rule(t1, params, quad.n_nodes)
     else:
-        rows = _oracle_rows_gauss(t1, lags, epsilons, params, quad.n_nodes, select_both)
-    return np.vstack(rows)
+        phase_rule = _gauss_rule(t1, params, quad.n_nodes)
+    cond = _conditional_probabilities(lags, params)
+    jumps = _selection_jumps(epsilons, t1, params, quad.n_nodes)
+    rows = np.empty((epsilons.size, lags.size))
+    for row, eps, eps_jumps in zip(rows, epsilons, jumps):
+        p1, weights = phase_rule(eps_jumps)
+        i_plus, i_minus = (np.where(p1 >= eps, p1, 0.0) * weights).sum(axis=1)
+        # without select_both the mask is all true: probabilities are >= 0
+        c = np.where(cond >= (eps if select_both else 0.0), cond, 0.0)
+        row[:] = i_plus * (c[0, 0] - c[0, 1]) - i_minus * (c[1, 0] - c[1, 1])
+    return rows
 
 
 # -- internals ---------------------------------------------------------------
 
 
-def _pair_tableau(phases: np.ndarray, t1: float, lags: np.ndarray, params: DynamicsParams):
-    """Vectorized two-measurement trajectories for an array of phase anchors.
+def _first_probabilities(phases: np.ndarray, t1: float, params: DynamicsParams) -> np.ndarray:
+    """Born probabilities at t1 of a system in ``|+>`` at each phase anchor.
 
-    Mirrors measured_trajectory for every (first outcome, second outcome)
-    pair: amplitudes at t1, Born probabilities, collapse, rotation by each
-    lag, final squared norms.  Amplitudes stay real here because the rotation
-    is real and the anchor state is |+>; the scalar kernel is the reference
-    this is tested against.
-
-    Returns ``(p1, norms)`` with ``p1`` of shape (m, 2) holding the first
-    Born probabilities for outcomes (+1, -1), and ``norms`` of shape
-    (2, 2, m, L) holding final squared norms indexed by (first, second)
-    outcome, both in (+1, -1) order.
+    Mirrors ``initial_state`` and ``born_probability`` for an array of
+    anchors.  Returns shape (2, m), outcomes in (+1, -1) order.
     """
-    ang1 = params.omega * (t1 - np.asarray(phases, dtype=float))
-    cp = np.cos(ang1)
-    cm = np.sin(ang1)
-    norm1 = cp * cp + cm * cm
-    p1 = np.stack([cp * cp / norm1, cm * cm / norm1], axis=1)
-
-    alpha = params.omega * lags
-    ca = np.cos(alpha)
-    sa = np.sin(alpha)
-
-    # collapse onto +1 leaves (cp, 0); onto -1 leaves (0, cm)
-    a_pp = cp[:, None] * ca[None, :]
-    a_pm = cp[:, None] * sa[None, :]
-    a_mp = cm[:, None] * (-sa[None, :])
-    a_mm = cm[:, None] * ca[None, :]
-
-    norms = np.empty((2, 2, phases.size, lags.size))
-    norms[0, 0] = a_pp * a_pp
-    norms[0, 1] = a_pm * a_pm
-    norms[1, 0] = a_mp * a_mp
-    norms[1, 1] = a_mm * a_mm
-    return p1, norms
+    ang = params.omega * (t1 - np.asarray(phases, dtype=float))
+    cp2 = np.cos(ang) ** 2
+    cm2 = np.sin(ang) ** 2
+    return np.array([cp2, cm2]) / (cp2 + cm2)
 
 
-def _second_outcome_mask(lags: np.ndarray, params: DynamicsParams, eps: float) -> np.ndarray:
-    """Selection mask for the second outcome, shape (2, 2, L).
+def _conditional_probabilities(lags: np.ndarray, params: DynamicsParams) -> np.ndarray:
+    """Second-outcome probabilities given the first, shape (2, 2, L).
 
-    Conditional probabilities are read off the propagated post-collapse
-    eigenstates, so they depend on the lag only.
+    Indexed by (first, second) outcome in (+1, -1) order.  The first collapse
+    leaves an eigenstate, which the lag rotates by ``omega * lag``.
     """
     alpha = params.omega * lags
     ca2 = np.cos(alpha) ** 2
     sa2 = np.sin(alpha) ** 2
-    cond = np.empty((2, 2, lags.size))
-    cond[0, 0] = ca2   # +1 then +1
-    cond[0, 1] = sa2
-    cond[1, 0] = sa2   # -1 then +1
-    cond[1, 1] = ca2
-    return cond >= eps
+    return np.array([[ca2, sa2], [sa2, ca2]])
 
 
-def _signed_sums(norms: np.ndarray, lags: np.ndarray, params: DynamicsParams,
-                 eps: float, select_both: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Per-node, per-lag signed second-outcome sums for each first outcome."""
-    if select_both:
-        m2 = _second_outcome_mask(lags, params, eps)
-        g_plus = norms[0, 0] * m2[0, 0] - norms[0, 1] * m2[0, 1]
-        g_minus = norms[1, 0] * m2[1, 0] - norms[1, 1] * m2[1, 1]
-    else:
-        g_plus = norms[0, 0] - norms[0, 1]
-        g_minus = norms[1, 0] - norms[1, 1]
-    return g_plus, g_minus
+def _selection_jumps(epsilons: np.ndarray, t1: float, params: DynamicsParams,
+                     n_cells: int) -> list[np.ndarray]:
+    """Sorted phases in [0, period) where a first-outcome probability crosses
+    each epsilon.
 
-
-def _masked_mean(p1, g_plus, g_minus, weights, eps) -> np.ndarray:
-    """Selection-masked weighted sum of trajectory products, shape (L,).
-
-    The first-outcome sign enters here: +1 trajectories add their signed
-    sums, -1 trajectories subtract theirs.
+    Sign changes of ``p - eps`` are scanned on cell edges and midpoints; the
+    scanned probabilities do not depend on epsilon.  The brackets of all
+    epsilons and both outcomes are then refined together, by 60 halvings on
+    the simulated probability.  At eps = 0 or 1 the probability never crosses
+    the threshold, so only scan points landing exactly on it are reported.
     """
-    w_plus = weights * (p1[:, 0] >= eps)
-    w_minus = weights * (p1[:, 1] >= eps)
-    return w_plus @ g_plus - w_minus @ g_minus
-
-
-def _first_probability(t_prime: float, t1: float, outcome: int, params: DynamicsParams) -> float:
-    return born_probability(initial_state(InitialPhase(t_prime), t1, params), outcome)
-
-
-def _selection_jumps(eps: float, t1: float, params: DynamicsParams,
-                     period: float, n_cells: int) -> list[float]:
-    """Phases in [0, period) where a first-outcome probability crosses eps.
-
-    Sign changes are scanned on cell edges and midpoints, then refined by
-    bisection on the simulated probability.  At eps = 0 or 1 the probability
-    never crosses the threshold, so no jumps are reported.
-    """
+    period = params.period
     scan = np.arange(2 * n_cells + 1) * (period / (2 * n_cells))
-    ang = params.omega * (t1 - scan)
-    p_plus = np.cos(ang) ** 2
-    roots: list[float] = []
-    for outcome, values in ((1, p_plus), (-1, 1.0 - p_plus)):
-        g = values - eps
-        sign = np.sign(g)
-        hits = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-        for i in hits:
-            lo, hi = scan[i], scan[i + 1]
-            g_lo = g[i]
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                g_mid = _first_probability(mid, t1, outcome, params) - eps
-                if g_lo * g_mid <= 0.0:
-                    hi = mid
-                else:
-                    lo, g_lo = mid, g_mid
-            roots.append(0.5 * (lo + hi))
-        # a scan point landing exactly on the threshold is itself the jump
-        roots.extend(scan[np.nonzero(sign[1:-1] == 0)[0] + 1])
-    return sorted(r % period for r in roots)
+    scanned = _first_probabilities(scan, t1, params)
+    # (p[i] - eps) * (p[i + 1] - eps) < 0 exactly when eps lies strictly between
+    lower = np.minimum(scanned[:, :-1], scanned[:, 1:])
+    upper = np.maximum(scanned[:, :-1], scanned[:, 1:])
+
+    lefts, rights, outcomes, owners = [], [], [], []
+    for i, eps in enumerate(epsilons):
+        for q in (0, 1):
+            crossed = np.flatnonzero((lower[q] < eps) & (eps < upper[q]))
+            # a scan point landing exactly on the threshold is itself the
+            # jump: a zero-width bracket that bisection leaves in place
+            on = np.flatnonzero(scanned[q][1:-1] == eps) + 1
+            lefts += [crossed, on]
+            rights += [crossed + 1, on]
+            outcomes.append(np.full(crossed.size + on.size, q))
+            owners.append(np.full(crossed.size + on.size, i))
+    left, right = np.concatenate(lefts), np.concatenate(rights)
+    outcome, owner = np.concatenate(outcomes), np.concatenate(owners)
+    eps = epsilons[owner]
+    plus = outcome == 0
+    lo, hi = scan[left], scan[right]
+    g_lo = scanned[outcome, left] - eps
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        p_mid = _first_probabilities(mid, t1, params)
+        g_mid = np.where(plus, p_mid[0], p_mid[1]) - eps
+        to_left = g_lo * g_mid <= 0.0
+        hi = np.where(to_left, mid, hi)
+        lo = np.where(to_left, lo, mid)
+        g_lo = np.where(to_left, g_lo, g_mid)
+
+    roots = 0.5 * (lo + hi) % period
+    order = np.lexsort((roots, owner))
+    bounds = np.searchsorted(owner[order], np.arange(1, epsilons.size))
+    return np.split(roots[order], bounds)
 
 
-def _oracle_rows_midpoint(t1, lags, epsilons, params, n_nodes, select_both):
+def _panel_nodes(lo: np.ndarray, hi: np.ndarray, panels: np.ndarray,
+                 ref_nodes: np.ndarray, ref_weights: np.ndarray,
+                 t1: float, params: DynamicsParams) -> tuple[np.ndarray, np.ndarray]:
+    """First-outcome probabilities and weights of a reference rule on [-1, 1]
+    mapped onto ``panels`` equal panels of each piece [lo, hi].
+
+    Pieces no wider than roundoff are dropped.  Weights are fractions of the
+    phase period.
+    """
+    period = params.period
+    width = hi - lo
+    keep = width > period * 1e-15
+    lo, width, panels = lo[keep], width[keep], panels[keep]
+    piece = np.repeat(np.arange(lo.size), panels)
+    k = np.arange(piece.size) - np.repeat(np.cumsum(panels) - panels, panels)
+    a = lo[piece] + width[piece] * k / panels[piece]
+    b = lo[piece] + width[piece] * (k + 1) / panels[piece]
+    half = 0.5 * (b - a)
+    phases = 0.5 * (a + b)[:, None] + half[:, None] * ref_nodes
+    weights = half[:, None] * ref_weights / period
+    return _first_probabilities(phases.ravel(), t1, params), weights.ravel()
+
+
+def _midpoint_rule(t1: float, params: DynamicsParams, n_nodes: int):
+    """Phase rule: uniform midpoint cells, with each cell that straddles a
+    jump replaced by sub-nodes on its smooth pieces.
+
+    Returns a function of the sorted jumps giving ``(p1, weights)``; the
+    first-outcome probabilities on the uniform cells are computed once.
+    """
     period = params.period
     h = period / n_nodes
-    mids = (np.arange(n_nodes) + 0.5) * h
-    p1, norms = _pair_tableau(mids, t1, lags, params)
-    base_weight = h / period
-    if not select_both:
-        # the signed sums depend on epsilon only through the second-outcome mask
-        g_plus_all, g_minus_all = _signed_sums(norms, lags, params, 0.0, False)
+    p1_cells = _first_probabilities((np.arange(n_nodes) + 0.5) * h, t1, params)
+    w_cells = np.full(n_nodes, h / period)
+    ref_nodes = (np.arange(_SUBDIVISION_NODES) + 0.5) * (2.0 / _SUBDIVISION_NODES) - 1.0
+    ref_weights = np.full(_SUBDIVISION_NODES, 2.0 / _SUBDIVISION_NODES)
 
-    def one_epsilon(eps: float) -> np.ndarray:
-        if select_both:
-            g_plus, g_minus = _signed_sums(norms, lags, params, eps, True)
-        else:
-            g_plus, g_minus = g_plus_all, g_minus_all
-        row = _masked_mean(p1, g_plus, g_minus, np.full(n_nodes, base_weight), eps)
+    def rule(jumps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        cells = np.minimum((jumps / h).astype(int), n_nodes - 1)
+        first = np.ones(cells.size, dtype=bool)
+        first[1:] = cells[1:] != cells[:-1]
+        last = np.ones(cells.size, dtype=bool)
+        last[:-1] = first[1:]
+        # a cell's pieces run from its left edge through its jumps to its right edge
+        lo = np.concatenate([np.where(first, cells * h, np.roll(jumps, 1)), jumps[last]])
+        hi = np.concatenate([jumps, (cells[last] + 1) * h])
+        p1_sub, w_sub = _panel_nodes(lo, hi, np.ones(lo.size, dtype=int),
+                                     ref_nodes, ref_weights, t1, params)
+        weights = np.concatenate([w_cells, w_sub])
+        weights[cells] = 0.0  # the sub-nodes stand in for these cells
+        return np.concatenate([p1_cells, p1_sub], axis=1), weights
 
-        jump_cells: dict[int, list[float]] = {}
-        for root in _selection_jumps(eps, t1, params, period, n_nodes):
-            cell = min(int(root / h), n_nodes - 1)
-            jump_cells.setdefault(cell, []).append(root)
-
-        for cell, cell_roots in jump_cells.items():
-            # drop the cell's one-node estimate, re-integrate its smooth pieces
-            row -= base_weight * _masked_mean(
-                p1[cell : cell + 1], g_plus[cell : cell + 1],
-                g_minus[cell : cell + 1], np.array([1.0]), eps)
-            cuts = [cell * h] + sorted(cell_roots) + [(cell + 1) * h]
-            for lo, hi in zip(cuts, cuts[1:]):
-                width = hi - lo
-                if width <= period * 1e-15:
-                    continue
-                step = width / _SUBDIVISION_NODES
-                sub = lo + (np.arange(_SUBDIVISION_NODES) + 0.5) * step
-                p1_sub, norms_sub = _pair_tableau(sub, t1, lags, params)
-                gp_sub, gm_sub = _signed_sums(norms_sub, lags, params, eps, select_both)
-                row += _masked_mean(p1_sub, gp_sub, gm_sub,
-                                    np.full(sub.size, step / period), eps)
-        return row
-
-    return parallel_map(one_epsilon, epsilons.tolist())
+    return rule
 
 
-def _gauss_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    return nodes, weights
+def _gauss_rule(t1: float, params: DynamicsParams, n_nodes: int):
+    """Phase rule: Gauss-Legendre panels of ``_GAUSS_ORDER`` nodes on each
+    smooth piece, about ``n_nodes`` nodes in all.
 
-
-def _oracle_rows_gauss(t1, lags, epsilons, params, n_nodes, select_both):
+    Returns a function of the sorted jumps giving ``(p1, weights)``.
+    """
     period = params.period
-    ref_nodes, ref_weights = _gauss_rule(_GAUSS_ORDER)
+    ref_nodes, ref_weights = np.polynomial.legendre.leggauss(_GAUSS_ORDER)
 
-    def one_epsilon(eps: float) -> np.ndarray:
-        cuts = [0.0] + _selection_jumps(eps, t1, params, period, n_nodes) + [period]
-        phases: list[np.ndarray] = []
-        weights: list[np.ndarray] = []
-        for lo, hi in zip(cuts, cuts[1:]):
-            width = hi - lo
-            if width <= period * 1e-15:
-                continue
-            target = max(_GAUSS_ORDER, int(round(n_nodes * width / period)))
-            panels = max(1, target // _GAUSS_ORDER)
-            edges = lo + width * np.arange(panels + 1) / panels
-            for a, b in zip(edges, edges[1:]):
-                half = 0.5 * (b - a)
-                phases.append(0.5 * (a + b) + half * ref_nodes)
-                weights.append(half * ref_weights / period)
-        all_phases = np.concatenate(phases)
-        all_weights = np.concatenate(weights)
-        p1, norms = _pair_tableau(all_phases, t1, lags, params)
-        g_plus, g_minus = _signed_sums(norms, lags, params, eps, select_both)
-        return _masked_mean(p1, g_plus, g_minus, all_weights, eps)
+    def rule(jumps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        cuts = np.concatenate([[0.0], jumps, [period]])
+        lo, hi = cuts[:-1], cuts[1:]
+        target = np.maximum(_GAUSS_ORDER, np.round(n_nodes * (hi - lo) / period).astype(int))
+        panels = np.maximum(1, target // _GAUSS_ORDER)
+        return _panel_nodes(lo, hi, panels, ref_nodes, ref_weights, t1, params)
 
-    return parallel_map(one_epsilon, epsilons.tolist())
+    return rule

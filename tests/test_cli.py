@@ -276,6 +276,16 @@ class TestConfigHandling:
                               "--out", str(out)], capsys)
         assert code == 0
 
+    @pytest.mark.parametrize("argv", [
+        ["fig1", "--t-max", "inf", "--t-steps", "3", "--format", "json-lines"],
+        ["fig2", "--eps-max", "nan"],
+    ])
+    def test_rejects_non_finite_floats(self, argv, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert "must be finite" in err
+
     def test_seed_flag_is_accepted(self, tmp_path, capsys):
         out = tmp_path / "fig1.csv"
         code, _, _ = run_cli(["fig1", "--seed", "7", "--t-steps", "9",

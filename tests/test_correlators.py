@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,9 @@ from tbell.correlators import (
     CorrelationRequest,
     QuadratureConfig,
     SelectionPolicy,
-    _pair_tableau,
+    _conditional_probabilities,
+    _first_probabilities,
+    _selection_jumps,
     disturbance,
     k_analytic,
     k_oracle,
@@ -119,22 +122,68 @@ class TestQuadratureConfig:
 
 class TestOracle:
     def test_tableau_matches_scalar_kernel(self):
-        # the vectorized trajectories must reproduce the scalar recursion
+        # the factored final norms p1[q1] * cond[q1, q2] must reproduce the
+        # scalar recursion for every outcome sequence
         rng = np.random.default_rng(7)
         phases = rng.uniform(0.0, 2.0 * math.pi, 25)
         lags = rng.uniform(0.0, math.pi, 4)
         t1 = 0.31
-        p1, norms = _pair_tableau(phases, t1, lags, P)
+        p1 = _first_probabilities(phases, t1, P)
+        cond = _conditional_probabilities(lags, P)
         for i, t_prime in enumerate(phases):
             for j, lag in enumerate(lags):
                 for qi, q1 in enumerate((1, -1)):
                     for qj, q2 in enumerate((1, -1)):
                         records, final = measured_trajectory(
                             InitialPhase(t_prime), (t1, t1 + lag), (q1, q2), P)
-                        assert norms[qi, qj, i, j] == pytest.approx(final.norm_sq(), abs=1e-12)
-                        if qj == 0:
-                            assert p1[i, qi] == pytest.approx(
-                                records[0].pre_probability, abs=1e-12)
+                        assert p1[qi, i] * cond[qi, qj, j] == pytest.approx(
+                            final.norm_sq(), abs=1e-12)
+                        assert p1[qi, i] == pytest.approx(
+                            records[0].pre_probability, abs=1e-12)
+
+    @pytest.mark.parametrize("t1", [0.0, 2.7])
+    @pytest.mark.parametrize("omega", [1.0, 2.3])
+    def test_jumps_match_analytic_crossings(self, t1, omega):
+        # p+ = cos^2(omega (t1 - t')) crosses eps where cos = +-sqrt(eps), and
+        # p- = sin^2 where cos = +-sqrt(1 - eps): 4 phases each per period
+        params = DynamicsParams(omega)
+        period = params.period
+        eps_grid = np.linspace(0.03, 0.97, 24)
+        jumps = _selection_jumps(eps_grid, t1, params, 1000)
+        assert len(jumps) == eps_grid.size
+        for eps, found in zip(eps_grid, jumps):
+            assert np.all((found >= 0.0) & (found < period))
+            p_plus = _first_probabilities(found, t1, params)[0]
+            is_plus = np.abs(p_plus - eps) < np.abs(1.0 - p_plus - eps)
+            for outcome_found, level in ((found[is_plus], eps), (found[~is_plus], 1.0 - eps)):
+                angles = np.arccos([math.sqrt(level), -math.sqrt(level)])
+                expected = np.concatenate([t1 - angles / omega, t1 + angles / omega]) % period
+                assert outcome_found.size == 4
+                offset = outcome_found[:, None] - expected[None, :]
+                close = np.abs((offset + period / 2) % period - period / 2) <= 1e-12
+                assert np.all(close.sum(axis=0) == 1) and np.all(close.sum(axis=1) == 1)
+
+    @pytest.mark.parametrize("scheme", ["uniform-midpoint", "gauss-legendre"])
+    @pytest.mark.parametrize("select_both", [False, True])
+    def test_rows_do_not_depend_on_the_rest_of_the_grid(self, scheme, select_both):
+        quad = QuadratureConfig(1000, scheme)
+        eps_grid = np.linspace(0.0, 1.0, 11)
+        lags = np.linspace(0.0, 3.0, 7)
+        grid = k_oracle_grid(0.4, lags, eps_grid, P, quad, select_both=select_both)
+        for i, eps in enumerate(eps_grid):
+            alone = k_oracle_grid(0.4, lags, np.array([eps]), P, quad, select_both=select_both)
+            assert np.max(np.abs(grid[i] - alone[0])) <= 1e-15
+
+    def test_memory_does_not_scale_with_nodes_times_lags(self):
+        # a (2, 2, nodes, lags) float tableau would take 328 MB here
+        lags = np.linspace(0.0, math.pi, 1024)
+        tracemalloc.start()
+        try:
+            k_oracle_grid(0.0, lags, np.array([0.3]), P, QuadratureConfig(10_000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
 
     def test_no_selection_is_machine_exact(self):
         lags = np.linspace(0.0, math.pi, 17)
