@@ -38,8 +38,6 @@ from .inequalities import (
     SANTOS_MINUS,
     SANTOS_PLUS,
     InequalitySpec,
-    SearchConfig,
-    SolveConfig,
     ViolationReport,
     delta_k,
     delta_k_stationary,
@@ -48,6 +46,7 @@ from .inequalities import (
     jaynes_cummings_frequency,
     maximize_violation,
     stationary_curve,
+    threshold_from_maximum,
 )
 
 __version__ = "0.1.0"
@@ -80,8 +79,6 @@ __all__ = [
     "SANTOS_MINUS",
     "SANTOS_PLUS",
     "InequalitySpec",
-    "SearchConfig",
-    "SolveConfig",
     "ViolationReport",
     "delta_k",
     "delta_k_stationary",
@@ -90,4 +87,5 @@ __all__ = [
     "jaynes_cummings_frequency",
     "maximize_violation",
     "stationary_curve",
+    "threshold_from_maximum",
 ]

@@ -28,7 +28,7 @@ _FLOAT_KEYS = frozenset({
     "omega", "rabi", "epsilon", "eps_min", "eps_max", "t_min", "t_max",
     "t1", "t2", "phase", "custom_bound",
 })
-_INT_KEYS = frozenset({"n", "eps_steps", "t_steps", "nodes", "seed", "custom_n_times"})
+_INT_KEYS = frozenset({"n", "eps_steps", "t_steps", "nodes", "custom_n_times"})
 _BOOL_KEYS = frozenset({"select_both", "physical_time", "full_search", "custom_abs"})
 _STR_KEYS = frozenset({"preset", "scheme", "format", "out", "times", "outcomes", "custom_terms"})
 _ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _BOOL_KEYS | _STR_KEYS
@@ -98,7 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--scheme", choices=list(correlators.QUADRATURE_SCHEMES))
     common.add_argument("--out", help="output path ('-' for stdout)")
     common.add_argument("--format", choices=["csv", "json-lines"])
-    common.add_argument("--seed", type=int, help="reserved for the sampling mode")
     common.add_argument("--select-both", action="store_const", const=True, default=None,
                         help="apply the threshold to the second outcome too (exploratory)")
     common.add_argument("--physical-time", action="store_const", const=True, default=None,
@@ -334,7 +333,7 @@ def cmd_threshold(cfg: dict) -> int:
     name, spec = _spec_from_config(cfg)
     report = inequalities.maximize_violation(spec, params, _policy(cfg))
     try:
-        eps_star = inequalities.epsilon_threshold(spec, params)
+        eps_star = inequalities.threshold_from_maximum(spec, report.delta_k_max)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 1
@@ -404,6 +403,8 @@ def cmd_trajectory(cfg: dict) -> int:
         raw_times = tuple(float(tok) for tok in str(cfg["times"]).split(","))
     except ValueError:
         raise ConfigError(f"bad --times value {cfg['times']!r}") from None
+    if not all(math.isfinite(t) for t in raw_times):
+        raise ConfigError(f"times must be finite, got {cfg['times']!r}")
     outcomes = _parse_outcomes(str(cfg["outcomes"]))
     phase = InitialPhase(cfg.get("phase", 0.0) * scale)
     try:

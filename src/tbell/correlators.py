@@ -245,14 +245,21 @@ def _selection_jumps(epsilons: np.ndarray, t1: float, params: DynamicsParams,
     """Sorted phases in [0, period) where a first-outcome probability crosses
     each epsilon.
 
-    Sign changes of ``p - eps`` are scanned on cell edges and midpoints; the
-    scanned probabilities do not depend on epsilon.  The brackets of all
-    epsilons and both outcomes are then refined together, by 60 halvings on
-    the simulated probability.  At eps = 0 or 1 the probability never crosses
-    the threshold, so only scan points landing exactly on it are reported.
+    Sign changes of ``p - eps`` are scanned on cell edges and midpoints, plus
+    the four extrema of p+- (every quarter period from t1): near eps = 0 or 1
+    the two crossings around an extremum can fall inside one scan step, and a
+    scan point between them exposes both.  The scanned probabilities do not
+    depend on epsilon.  The brackets of all epsilons and both outcomes are
+    then refined together, by 60 halvings on the simulated probability.  At
+    eps = 0 or 1 the probability never crosses the threshold, so only scan
+    points landing exactly on it are reported.
     """
     period = params.period
     scan = np.arange(2 * n_cells + 1) * (period / (2 * n_cells))
+    extrema = t1 % (period / 4) + np.arange(4) * (period / 4)
+    at = np.searchsorted(scan, extrema)
+    new = scan[np.minimum(at, scan.size - 1)] != extrema
+    scan = np.insert(scan, at[new], extrema[new])
     scanned = _first_probabilities(scan, t1, params)
     # (p[i] - eps) * (p[i + 1] - eps) < 0 exactly when eps lies strictly between
     lower = np.minimum(scanned[:, :-1], scanned[:, 1:])

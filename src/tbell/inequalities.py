@@ -6,6 +6,10 @@ measurement times; selection on the first outcome multiplies every correlator
 by the same time-independent factor A(eps), so the optimal times never move,
 only the attainable maximum shrinks.  ``epsilon_threshold`` finds the
 distinguishability level where the degraded maximum falls back to the bound.
+
+Without selection every combination is a sum of terms ``c * cos(2*omega*lag)``
+in the inter-measurement gaps, so its gradient and Hessian are exact; the
+maximizers refine a grid scan by Newton steps on them.
 """
 
 from __future__ import annotations
@@ -15,16 +19,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlators import (
-    CorrelationRequest,
-    SelectionPolicy,
-    k_selective_analytic,
-    selection_factor,
-)
+from .correlators import SelectionPolicy, selection_factor, selection_factor_derivative
 from .dynamics import DynamicsParams
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-_INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0
+# Scan sizes over one spacing period: equal spacings, and each gap of the full search.
+_STATIONARY_GRID = 4096
+_GAP_GRID = 128
+
+# Grid values within this relative distance of the maximum count as tied.
+_TIE_TOL = 1e-12
+
+# Cap on Newton iterations.  The maximizers stop within ten; the threshold
+# solve needs up to about 80 when its root lies within 1e-9 of 0 or 1.
+_NEWTON_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -49,7 +56,9 @@ class InequalitySpec:
         if not (math.isfinite(self.bound) and self.bound > 0):
             raise ValueError(f"bound must be finite and > 0, got {self.bound!r}")
         seen = set()
-        for i, j, _ in self.terms:
+        for i, j, c in self.terms:
+            if not math.isfinite(c):
+                raise ValueError(f"coefficient of term ({i}, {j}) must be finite, got {c!r}")
             if not (1 <= i <= self.n_times and 1 <= j <= self.n_times):
                 raise ValueError(f"time index out of range in term ({i}, {j})")
             if i == j:
@@ -73,34 +82,6 @@ class ViolationReport:
     a_epsilon: float
     delta_b_max: float
     violated: bool
-
-
-@dataclass(frozen=True)
-class SearchConfig:
-    """Stationary-spacing search: grid scan then golden-section refinement.
-
-    ``tol`` is measured in the dimensionless spacing omega*t.
-    """
-
-    grid_points: int = 4096
-    tol: float = 1e-9
-
-    def __post_init__(self) -> None:
-        if self.grid_points < 2:
-            raise ValueError("grid_points must be >= 2")
-        if not (self.tol > 0):
-            raise ValueError("tol must be > 0")
-
-
-@dataclass(frozen=True)
-class SolveConfig:
-    """Bisection tolerance (in epsilon) for the threshold solver."""
-
-    tol: float = 1e-9
-
-    def __post_init__(self) -> None:
-        if not (self.tol > 0):
-            raise ValueError("tol must be > 0")
 
 
 PAZ4 = InequalitySpec(
@@ -129,6 +110,59 @@ PRESETS: dict[str, InequalitySpec] = {
 }
 
 
+def _combination(spec: InequalitySpec, omega: float, gaps, derivatives: bool = False):
+    """Unselected combination at the inter-measurement gaps.
+
+    ``gaps`` holds n_times - 1 floats or arrays that broadcast together; the
+    lag of term (i, j) is the sum of gaps i..j-1, and the term contributes
+    ``coeff * cos(2*omega*lag)``.  With ``derivatives`` the gaps are floats
+    and the result is ``(value, gradient, hessian)`` in the gaps, all exact.
+    """
+    ndim = spec.n_times - 1
+    total = 0.0
+    grad, hess = np.zeros(ndim), np.zeros((ndim, ndim))
+    for i, j, coeff in spec.terms:
+        arg = 2.0 * omega * sum(gaps[i - 1:j - 1])
+        term = coeff * np.cos(arg)
+        total = total + term
+        if derivatives:
+            span = slice(i - 1, j - 1)
+            grad[span] -= 2.0 * omega * coeff * math.sin(arg)
+            hess[span, span] -= 4.0 * omega * omega * term
+    if not derivatives:
+        return np.abs(total) if spec.abs_mode else total
+    sign = -1.0 if spec.abs_mode and total < 0.0 else 1.0
+    return sign * float(total), sign * grad, sign * hess
+
+
+def _first_best(values: np.ndarray) -> int:
+    """Flat index of the first value tied with the maximum.
+
+    Ties are values within a relative ``_TIE_TOL`` of it, so they break
+    toward the lowest gaps instead of by roundoff.
+    """
+    top = values.max()
+    return int(np.argmax(values >= top - _TIE_TOL * abs(top)))
+
+
+def _newton_max(spec: InequalitySpec, omega: float, basis: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Newton ascent on the gaps ``basis @ x`` from a grid seed ``x``.
+
+    Each step solves the exact Hessian system restricted to the basis (least
+    squares, so a flat direction gets no step).  Steps shrink quadratically
+    down to roundoff; the first that does not shrink ends the ascent.
+    """
+    last = math.inf
+    for _ in range(_NEWTON_STEPS):
+        _, grad, hess = _combination(spec, omega, basis @ x, derivatives=True)
+        step = np.linalg.lstsq(basis.T @ hess @ basis, -(basis.T @ grad), rcond=None)[0]
+        size = float(np.max(np.abs(step)))
+        if not size < last:
+            break
+        x, last = x + step, size
+    return x
+
+
 def delta_k(
     spec: InequalitySpec,
     times: tuple[float, ...],
@@ -140,11 +174,7 @@ def delta_k(
         raise ValueError("time count mismatch")
     if any(b <= a for a, b in zip(times, times[1:])):
         raise ValueError("times not ascending")
-    total = 0.0
-    for i, j, coeff in spec.terms:
-        req = CorrelationRequest(times[i - 1], times[j - 1], params, policy)
-        total += coeff * k_selective_analytic(req)
-    return abs(total) if spec.abs_mode else total
+    return selection_factor(policy) * float(_combination(spec, params.omega, np.diff(times)))
 
 
 def delta_k_stationary(
@@ -153,11 +183,10 @@ def delta_k_stationary(
     params: DynamicsParams,
     policy: SelectionPolicy,
 ) -> float:
-    """Inequality combination at equally spaced times (spacing > 0)."""
-    if not (spacing > 0):
+    """Inequality combination at equally spaced times (finite spacing > 0)."""
+    if not (0.0 < spacing < math.inf):
         raise ValueError("invalid spacing")
-    times = tuple(k * spacing for k in range(spec.n_times))
-    return delta_k(spec, times, params, policy)
+    return float(stationary_curve(spec, spacing, params, policy))
 
 
 def stationary_curve(
@@ -172,66 +201,27 @@ def stationary_curve(
     zero spacing is well defined), which the figure sweeps rely on.
     """
     s = np.asarray(spacings, dtype=float)
-    total = np.zeros_like(s)
-    for i, j, coeff in spec.terms:
-        total += coeff * np.cos(2.0 * params.omega * (j - i) * s)
-    total *= selection_factor(policy)
-    return np.abs(total) if spec.abs_mode else total
-
-
-def _golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    """Golden-section maximization on [lo, hi] to bracket width tol."""
-    h = hi - lo
-    if h <= tol:
-        x = 0.5 * (lo + hi)
-        return x, f(x)
-    c = lo + _INV_PHI_SQ * h
-    d = lo + _INV_PHI * h
-    yc, yd = f(c), f(d)
-    while h > tol:
-        if yc > yd:
-            hi, d, yd = d, c, yc
-            h = _INV_PHI * h
-            c = lo + _INV_PHI_SQ * h
-            yc = f(c)
-        else:
-            lo, c, yc = c, d, yd
-            h = _INV_PHI * h
-            d = lo + _INV_PHI * h
-            yd = f(d)
-    x = 0.5 * (lo + hi)
-    return x, f(x)
+    return selection_factor(policy) * _combination(spec, params.omega, (s,) * (spec.n_times - 1))
 
 
 def maximize_violation(
     spec: InequalitySpec,
     params: DynamicsParams,
     policy: SelectionPolicy,
-    search: SearchConfig | None = None,
 ) -> ViolationReport:
     """Maximize the stationary combination and report the degraded violation.
 
-    The scan covers one spacing period, omega*t in (0, pi], and ties break
+    A grid scan covers one spacing period, omega*t in (0, pi], and Newton
+    steps on the exact derivatives refine its best point; tied maxima break
     toward the lowest spacing.  The objective is evaluated without selection;
     the policy's factor is applied afterwards, which is exact because the
     factor is time independent (so the argmax is too).
     """
-    if search is None:
-        search = SearchConfig()
-    unselected = SelectionPolicy(0.0)
-    period = math.pi / params.omega
-    step = period / search.grid_points
-    grid = step * np.arange(1, search.grid_points + 1)
-    values = stationary_curve(spec, grid, params, unselected)
-    best = int(np.argmax(values))
-
-    lo = max(0.0, float(grid[best]) - step)
-    hi = min(period, float(grid[best]) + step)
-
-    def objective(s: float) -> float:
-        return float(stationary_curve(spec, np.array([s]), params, unselected)[0])
-
-    spacing, dk_max = _golden_max(objective, float(lo), float(hi), search.tol / params.omega)
+    ndim = spec.n_times - 1
+    grid = math.pi / params.omega / _STATIONARY_GRID * np.arange(1, _STATIONARY_GRID + 1)
+    seed = grid[_first_best(_combination(spec, params.omega, (grid,) * ndim))]
+    spacing = float(_newton_max(spec, params.omega, np.ones((ndim, 1)), np.array([seed]))[0])
+    dk_max = float(_combination(spec, params.omega, (spacing,) * ndim))
     a_eps = selection_factor(policy)
     delta_b = (a_eps * dk_max - spec.bound) / spec.bound
     return ViolationReport(
@@ -243,87 +233,70 @@ def maximize_violation(
     )
 
 
-def full_time_search(
-    spec: InequalitySpec,
-    params: DynamicsParams,
-    grid_per_dim: int = 128,
-    tol: float = 1e-9,
-) -> tuple[float, tuple[float, ...]]:
+def full_time_search(spec: InequalitySpec, params: DynamicsParams) -> tuple[float, tuple[float, ...]]:
     """Unconstrained-gap maximization of the unselected combination.
 
-    Searches all n_times - 1 inter-measurement gaps independently (grid scan
-    then cyclic per-coordinate golden refinement) instead of assuming equal
-    spacing.  Supported for 3 or 4 times; the equal-spacing optimum is
-    confirmed when this agrees with maximize_violation.
+    Searches all n_times - 1 inter-measurement gaps independently (a grid
+    scan over one period per gap, then Newton steps on the exact gradient and
+    Hessian) instead of assuming equal spacing.  Supported for 3 or 4 times;
+    the equal-spacing optimum is confirmed when this agrees with
+    maximize_violation.
 
     Returns (maximum, gaps).
     """
     ndim = spec.n_times - 1
     if ndim not in (2, 3):
         raise ValueError("full search supports n_times in {3, 4} only")
-    period = math.pi / params.omega
-    step = period / grid_per_dim
-    axis = step * np.arange(1, grid_per_dim + 1)
-
-    def combination(gaps: tuple[np.ndarray | float, ...]) -> np.ndarray | float:
-        total = 0.0
-        for i, j, coeff in spec.terms:
-            lag = sum(gaps[k] for k in range(i - 1, j - 1))
-            total = total + coeff * np.cos(2.0 * params.omega * lag)
-        return np.abs(total) if spec.abs_mode else total
-
-    mesh = tuple(
-        axis.reshape((1,) * d + (-1,) + (1,) * (ndim - d - 1)) for d in range(ndim)
-    )
-    values = combination(mesh)
-    flat_best = int(np.argmax(values))
-    gaps = [float(axis[k]) for k in np.unravel_index(flat_best, values.shape)]
-
-    tol_phys = tol / params.omega
-    for _ in range(6):
-        for d in range(ndim):
-            def along(x: float, d=d) -> float:
-                probe = gaps.copy()
-                probe[d] = x
-                return float(combination(tuple(probe)))
-
-            lo = max(tol_phys, gaps[d] - step)
-            hi = min(period, gaps[d] + step)
-            gaps[d], _ = _golden_max(along, lo, hi, tol_phys)
-        step = max(step * 0.25, 10.0 * tol_phys)
-    return float(combination(tuple(gaps))), tuple(gaps)
+    axis = math.pi / params.omega / _GAP_GRID * np.arange(1, _GAP_GRID + 1)
+    # one broadcast axis per gap: the scan never builds a mesh of gap vectors
+    mesh = tuple(axis.reshape((1,) * d + (-1,) + (1,) * (ndim - d - 1)) for d in range(ndim))
+    values = _combination(spec, params.omega, mesh)
+    seed = axis[np.array(np.unravel_index(_first_best(values), values.shape))]
+    gaps = _newton_max(spec, params.omega, np.eye(ndim), seed)
+    return float(_combination(spec, params.omega, gaps)), tuple(gaps.tolist())
 
 
-def epsilon_threshold(
-    spec: InequalitySpec,
-    params: DynamicsParams,
-    solve: SolveConfig | None = None,
-    search: SearchConfig | None = None,
-) -> float:
-    """Distinguishability level where violations disappear.
+def threshold_from_maximum(spec: InequalitySpec, delta_k_max: float) -> float:
+    """Distinguishability level where a maximum of ``delta_k_max`` degrades
+    to the bound: the root of A(eps) = bound / delta_k_max.
 
-    Solves A(eps) = bound / delta_k_max by bisection; the factor is strictly
-    decreasing so the root is unique.  Violations survive exactly for
-    epsilon below the returned value.  A spec whose maximum never exceeds the
-    bound has no threshold; the degenerate equal case returns 0 by
-    convention.
+    A is strictly decreasing, so the root is unique.  Newton steps on the
+    exact derivative find it to a few ulp; a step that would leave the
+    bracket [lo, hi] around the root bisects it instead, and every point
+    tried narrows it.  The solve ends when the Newton step vanishes or no
+    float is left inside the bracket.  A maximum below the bound raises
+    ``ValueError``; one equal to it returns 0 by convention.
     """
-    if solve is None:
-        solve = SolveConfig()
-    report = maximize_violation(spec, params, SelectionPolicy(0.0), search)
-    if report.delta_k_max < spec.bound - 1e-12:
+    if delta_k_max < spec.bound - 1e-12:
         raise ValueError("inequality never violated")
-    target = spec.bound / report.delta_k_max
+    target = spec.bound / delta_k_max
     if target >= 1.0:
         return 0.0
     lo, hi = 0.0, 1.0  # A(lo) >= target > A(hi)
-    while hi - lo > solve.tol:
-        mid = 0.5 * (lo + hi)
-        if selection_factor(SelectionPolicy(mid)) >= target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    eps = 0.5
+    for _ in range(_NEWTON_STEPS):
+        policy = SelectionPolicy(eps)
+        gap = selection_factor(policy) - target
+        lo, hi = (eps, hi) if gap >= 0.0 else (lo, eps)
+        nxt = eps - gap / selection_factor_derivative(policy)
+        if nxt == eps:
+            break
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+            if not lo < nxt < hi:
+                break
+        eps = nxt
+    return eps
+
+
+def epsilon_threshold(spec: InequalitySpec, params: DynamicsParams) -> float:
+    """Distinguishability level where violations disappear.
+
+    Violations survive exactly for epsilon below the returned value; see
+    ``threshold_from_maximum`` for the solve and the degenerate cases.
+    """
+    report = maximize_violation(spec, params, SelectionPolicy(0.0))
+    return threshold_from_maximum(spec, report.delta_k_max)
 
 
 def jaynes_cummings_frequency(rabi: float, n: int) -> float:

@@ -135,6 +135,19 @@ class TestThreshold:
         assert rows[0][1] == pytest.approx(math.pi / 8, abs=1e-6)
         assert rows[0][2] == pytest.approx(0.649, abs=1e-3)
 
+    def test_maximizes_once(self, monkeypatch, capsys):
+        calls = []
+        original = cli.inequalities.maximize_violation
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli.inequalities, "maximize_violation", counted)
+        code, _, _ = run_cli(["threshold", "--preset", "paz4"], capsys)
+        assert code == 0
+        assert len(calls) == 1
+
     def test_full_search_report(self, capsys):
         code, out, _ = run_cli(["threshold", "--preset", "paz4", "--full-search"], capsys)
         assert code == 0
@@ -279,18 +292,18 @@ class TestConfigHandling:
     @pytest.mark.parametrize("argv", [
         ["fig1", "--t-max", "inf", "--t-steps", "3", "--format", "json-lines"],
         ["fig2", "--eps-max", "nan"],
+        ["trajectory", "--times", "0,inf", "--outcomes=+1,+1"],
+        ["threshold", "--config", "INF_COEFFICIENT_CONFIG"],
     ])
-    def test_rejects_non_finite_floats(self, argv, capsys):
+    def test_rejects_non_finite_floats(self, argv, tmp_path, capsys):
+        config = tmp_path / "inf.cfg"
+        config.write_text("preset = custom\ncustom_n_times = 3\n"
+                          "custom_terms = 1,2,inf; 2,3,1; 1,3,-1\ncustom_bound = 1\n")
+        argv = [str(config) if arg == "INF_COEFFICIENT_CONFIG" else arg for arg in argv]
         code, out, err = run_cli(argv, capsys)
         assert code == 2
         assert out == ""
         assert "must be finite" in err
-
-    def test_seed_flag_is_accepted(self, tmp_path, capsys):
-        out = tmp_path / "fig1.csv"
-        code, _, _ = run_cli(["fig1", "--seed", "7", "--t-steps", "9",
-                              "--out", str(out)], capsys)
-        assert code == 0
 
 
 class TestOutputContract:

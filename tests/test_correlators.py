@@ -145,22 +145,31 @@ class TestOracle:
     @pytest.mark.parametrize("omega", [1.0, 2.3])
     def test_jumps_match_analytic_crossings(self, t1, omega):
         # p+ = cos^2(omega (t1 - t')) crosses eps where cos = +-sqrt(eps), and
-        # p- = sin^2 where cos = +-sqrt(1 - eps): 4 phases each per period
+        # p- = sin^2 where cos = +-sqrt(1 - eps): 4 phases each per period.
+        # Near eps = 0 or 1 the two crossings around an extremum of p+- lie
+        # closer together than one scan step (period / 2000 here); t1 = 2.7
+        # puts no scan point on an extremum.
         params = DynamicsParams(omega)
         period = params.period
-        eps_grid = np.linspace(0.03, 0.97, 24)
+        extreme = [1e-10, 1e-7, 1.0 - 1e-7, 1.0 - 1e-10]
+        eps_grid = np.concatenate([np.linspace(0.03, 0.97, 24), extreme])
         jumps = _selection_jumps(eps_grid, t1, params, 1000)
         assert len(jumps) == eps_grid.size
         for eps, found in zip(eps_grid, jumps):
+            tol = 1e-9 if eps in extreme else 1e-12
             assert np.all((found >= 0.0) & (found < period))
             p_plus = _first_probabilities(found, t1, params)[0]
             is_plus = np.abs(p_plus - eps) < np.abs(1.0 - p_plus - eps)
-            for outcome_found, level in ((found[is_plus], eps), (found[~is_plus], 1.0 - eps)):
-                angles = np.arccos([math.sqrt(level), -math.sqrt(level)])
+            # cos^2 = level at atan2(sqrt(1 - level), sqrt(level)); 1 - level is
+            # passed in exactly, so the reference stays accurate near 0 and 1
+            for outcome_found, level, rest in ((found[is_plus], eps, 1.0 - eps),
+                                               (found[~is_plus], 1.0 - eps, eps)):
+                angle = math.atan2(math.sqrt(rest), math.sqrt(level))
+                angles = np.array([angle, math.pi - angle])
                 expected = np.concatenate([t1 - angles / omega, t1 + angles / omega]) % period
                 assert outcome_found.size == 4
                 offset = outcome_found[:, None] - expected[None, :]
-                close = np.abs((offset + period / 2) % period - period / 2) <= 1e-12
+                close = np.abs((offset + period / 2) % period - period / 2) <= tol
                 assert np.all(close.sum(axis=0) == 1) and np.all(close.sum(axis=1) == 1)
 
     @pytest.mark.parametrize("scheme", ["uniform-midpoint", "gauss-legendre"])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,8 +12,7 @@ from tbell.inequalities import (
     SANTOS_MINUS,
     SANTOS_PLUS,
     InequalitySpec,
-    SearchConfig,
-    SolveConfig,
+    _combination,
     delta_k,
     delta_k_stationary,
     epsilon_threshold,
@@ -20,11 +20,15 @@ from tbell.inequalities import (
     jaynes_cummings_frequency,
     maximize_violation,
     stationary_curve,
+    threshold_from_maximum,
 )
 
 P = DynamicsParams(1.0)
 ZERO = SelectionPolicy(0.0)
 TWO_SQRT_TWO = 2.0 * math.sqrt(2.0)
+# the lowest of the tied optimal spacings, in omega*t
+OPTIMAL_SPACING = {"paz4": math.pi / 8, "santos-minus": math.pi / 3, "santos-plus": math.pi / 6}
+CUSTOM = InequalitySpec(4, ((1, 3, 0.7), (2, 4, -1.3), (1, 2, 0.4), (3, 4, 2.1)), 1.0)
 
 
 class TestSpecValidation:
@@ -47,6 +51,42 @@ class TestSpecValidation:
             InequalitySpec(3, ((1, 2, 1.0),), 0.0)
         with pytest.raises(ValueError):
             InequalitySpec(3, (), 1.0)
+        with pytest.raises(ValueError, match="must be finite"):
+            InequalitySpec(3, ((1, 2, math.inf),), 1.0)
+
+
+class TestCombination:
+    @pytest.mark.parametrize("abs_mode", [False, True])
+    @pytest.mark.parametrize("spec", [PAZ4, SANTOS_MINUS, SANTOS_PLUS, CUSTOM])
+    def test_derivatives_match_central_differences(self, spec, abs_mode):
+        spec = dataclasses.replace(spec, abs_mode=abs_mode)
+        omega, h = 1.7, 1e-6
+        rng = np.random.default_rng(11)
+        ndim = spec.n_times - 1
+        checked = 0
+        while checked < 20:
+            gaps = rng.uniform(0.05, 2.0, ndim)
+            value, grad, hess = _combination(spec, omega, gaps, derivatives=True)
+            if abs(value) < 0.05:
+                continue  # keep clear of the kink of |.| in abs mode
+            assert value == _combination(spec, omega, gaps)
+            for k in range(ndim):
+                e = np.zeros(ndim)
+                e[k] = h
+                up, down = (_combination(spec, omega, gaps + s * e, derivatives=True) for s in (1, -1))
+                assert (up[0] - down[0]) / (2 * h) == pytest.approx(grad[k], abs=1e-8)
+                assert (up[1] - down[1]) / (2 * h) == pytest.approx(hess[k], abs=1e-8)
+            assert np.array_equal(hess, hess.T)
+            checked += 1
+
+    def test_broadcast_grid_matches_pointwise_values(self):
+        axis = np.linspace(0.1, 3.0, 5)
+        mesh = (axis[:, None, None], axis[None, :, None], axis[None, None, :])
+        values = _combination(CUSTOM, 1.3, mesh)
+        assert values.shape == (5, 5, 5)
+        for idx in np.ndindex(values.shape):
+            point = _combination(CUSTOM, 1.3, axis[list(idx)], derivatives=True)[0]
+            assert values[idx] == pytest.approx(point, abs=1e-15)
 
 
 class TestDeltaK:
@@ -86,6 +126,8 @@ class TestStationary:
             delta_k_stationary(SANTOS_MINUS, 0.0, P, ZERO)
         with pytest.raises(ValueError, match="invalid spacing"):
             delta_k_stationary(SANTOS_MINUS, -1.0, P, ZERO)
+        with pytest.raises(ValueError, match="invalid spacing"):
+            delta_k_stationary(SANTOS_MINUS, math.inf, P, ZERO)
 
     def test_curve_matches_scalar_evaluation(self):
         spacings = np.linspace(0.05, math.pi, 40)
@@ -169,23 +211,38 @@ class TestMaximize:
             values = stationary_curve(spec, grid, P, SelectionPolicy(eps))
             assert np.max(values) <= spec.bound + 1e-9
 
-    def test_search_config_validation(self):
-        with pytest.raises(ValueError):
-            SearchConfig(grid_points=1)
-        with pytest.raises(ValueError):
-            SearchConfig(tol=0.0)
+    def test_ties_break_toward_the_lowest_spacing(self):
+        # paz4 has four tied maxima per period (pi/8, 3pi/8, 5pi/8, 7pi/8), all
+        # on the scan grid; roundoff alone must not pick one of the later ones
+        omegas = [1.0, 4.0] + np.random.default_rng(7).uniform(0.3, 3.5, 100).tolist()
+        for omega in omegas:
+            params = DynamicsParams(omega)
+            for name, spec in PRESETS.items():
+                report = maximize_violation(spec, params, ZERO)
+                assert abs(omega * report.argmax_spacing - OPTIMAL_SPACING[name]) <= 1e-13, (name, omega)
 
 
 class TestFullSearch:
     def test_equal_spacing_is_optimal_for_paz4(self):
         best, gaps = full_time_search(PAZ4, P)
-        assert best == pytest.approx(TWO_SQRT_TWO, abs=1e-6)
+        assert best == pytest.approx(TWO_SQRT_TWO, abs=1e-13)
         assert len(gaps) == 3
 
     def test_matches_stationary_for_santos(self):
         best, gaps = full_time_search(SANTOS_MINUS, P)
-        assert best == pytest.approx(1.5, abs=1e-6)
+        assert best == pytest.approx(1.5, abs=1e-13)
         assert len(gaps) == 2
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    @pytest.mark.parametrize("omega", [1.0, 2.3])
+    def test_returns_a_stationary_point_at_the_optimum(self, name, omega):
+        spec = PRESETS[name]
+        best, gaps = full_time_search(spec, DynamicsParams(omega))
+        expected = TWO_SQRT_TWO if spec is PAZ4 else 1.5
+        assert abs(best - expected) <= 1e-13
+        _, grad, _ = _combination(spec, omega, np.array(gaps), derivatives=True)
+        assert np.max(np.abs(grad)) <= 1e-12
+        assert np.allclose(omega * np.array(gaps), OPTIMAL_SPACING[name], rtol=0.0, atol=1e-13)
 
     def test_rejects_unsupported_arity(self):
         wide = InequalitySpec(5, ((1, 5, 1.0),), 1.0)
@@ -200,16 +257,33 @@ class TestThreshold:
         assert epsilon_threshold(PAZ4, P) == pytest.approx(0.649, abs=1e-3)
 
     def test_solver_is_tight(self):
-        # frozen from an independent high-precision bisection of the factor
-        assert epsilon_threshold(SANTOS_MINUS, P) == pytest.approx(0.6938671745151623, abs=2e-9)
-        assert epsilon_threshold(PAZ4, P) == pytest.approx(0.6494865664558347, abs=2e-9)
+        # roots of A(eps) = 2/3 and 1/sqrt(2), from a 40-digit mpmath findroot
+        # rounded to float64
+        assert epsilon_threshold(SANTOS_MINUS, P) == pytest.approx(0.693867174515053, abs=5e-16)
+        assert epsilon_threshold(PAZ4, P) == pytest.approx(0.6494865664555554, abs=5e-16)
+
+    def test_factor_meets_the_bound_at_the_threshold(self):
+        for spec in PRESETS.values():
+            report = maximize_violation(spec, P, ZERO)
+            eps_star = epsilon_threshold(spec, P)
+            a_star = selection_factor(SelectionPolicy(eps_star))
+            assert abs(a_star - spec.bound / report.delta_k_max) <= 1e-15
+
+    def test_solves_every_level(self):
+        # a maximum of bound / level puts the root anywhere in (0, 1), also
+        # where the first Newton step lands next to eps = 1
+        spec = InequalitySpec(3, ((1, 2, 1.0),), 1.0)
+        for level in np.linspace(0.02, 0.98, 25):
+            delta_k_max = 1.0 / level
+            eps_star = threshold_from_maximum(spec, delta_k_max)
+            assert 0.0 < eps_star < 1.0
+            assert abs(selection_factor(SelectionPolicy(eps_star)) - 1.0 / delta_k_max) <= 1e-14
 
     def test_threshold_straddles_the_violation_boundary(self):
-        solve = SolveConfig()
         for spec in (SANTOS_MINUS, PAZ4):
-            eps_star = epsilon_threshold(spec, P, solve)
-            below = maximize_violation(spec, P, SelectionPolicy(eps_star - 10 * solve.tol))
-            above = maximize_violation(spec, P, SelectionPolicy(eps_star + 10 * solve.tol))
+            eps_star = epsilon_threshold(spec, P)
+            below = maximize_violation(spec, P, SelectionPolicy(eps_star - 1e-8))
+            above = maximize_violation(spec, P, SelectionPolicy(eps_star + 1e-8))
             assert below.delta_b_max > 0.0
             assert above.delta_b_max < 0.0
 
