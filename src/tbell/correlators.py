@@ -101,10 +101,14 @@ def selection_factor(policy: SelectionPolicy) -> float:
     """Fraction factor A(eps) multiplying the correlator under selection.
 
     Decreases strictly from A(0) = 1 to A(1) = 0: the more reliably an
-    outcome must identify a state, the more runs are discarded.
+    outcome must identify a state, the more runs are discarded.  The angle
+    ``arccos(2*eps - 1)`` is evaluated as ``2*atan2(sqrt(1 - eps), sqrt(eps))``,
+    which stays accurate near eps = 0, where rounding ``2*eps - 1`` would
+    cost about 1e-16 / sqrt(eps).
     """
     eps = policy.epsilon
-    return (2.0 * math.sqrt(eps * (1.0 - eps)) + math.acos(2.0 * eps - 1.0)) / math.pi
+    angle = 2.0 * math.atan2(math.sqrt(1.0 - eps), math.sqrt(eps))
+    return (2.0 * math.sqrt(eps * (1.0 - eps)) + angle) / math.pi
 
 
 def selection_factor_derivative(policy: SelectionPolicy) -> float:
@@ -202,7 +206,7 @@ def k_oracle_grid(
     else:
         phase_rule = _gauss_rule(t1, params, quad.n_nodes)
     cond = _conditional_probabilities(lags, params)
-    jumps = _selection_jumps(epsilons, t1, params, quad.n_nodes)
+    jumps = _selection_jumps(epsilons, t1, params)
     rows = np.empty((epsilons.size, lags.size))
     for row, eps, eps_jumps in zip(rows, epsilons, jumps):
         p1, weights = phase_rule(eps_jumps)
@@ -240,61 +244,41 @@ def _conditional_probabilities(lags: np.ndarray, params: DynamicsParams) -> np.n
     return np.array([[ca2, sa2], [sa2, ca2]])
 
 
-def _selection_jumps(epsilons: np.ndarray, t1: float, params: DynamicsParams,
-                     n_cells: int) -> list[np.ndarray]:
+def _selection_jumps(epsilons: np.ndarray, t1: float, params: DynamicsParams) -> list[np.ndarray]:
     """Sorted phases in [0, period) where a first-outcome probability crosses
     each epsilon.
 
-    Sign changes of ``p - eps`` are scanned on cell edges and midpoints, plus
-    the four extrema of p+- (every quarter period from t1): near eps = 0 or 1
-    the two crossings around an extremum can fall inside one scan step, and a
-    scan point between them exposes both.  The scanned probabilities do not
-    depend on epsilon.  The brackets of all epsilons and both outcomes are
-    then refined together, by 60 halvings on the simulated probability.  At
-    eps = 0 or 1 the probability never crosses the threshold, so only scan
-    points landing exactly on it are reported.
+    The extrema of p+- lie every quarter period from t1, and between two of
+    them each probability runs monotonically between 0 and 1: for 0 < eps < 1
+    it crosses eps exactly once per quarter, four times per outcome.  Each
+    crossing is found by 60 halvings of its quarter on the simulated
+    probability, which reach below one ulp.  At eps = 0 the threshold is
+    never crossed and there are no jumps.  At eps = 1 the selected set is
+    the float sliver around each maximum where p rounds to 1; every extremum
+    is the maximum of p+ or of p-, so the four extrema are the jumps, and a
+    quadrature node cannot sit inside a sliver with a whole cell's weight.
     """
-    period = params.period
-    scan = np.arange(2 * n_cells + 1) * (period / (2 * n_cells))
-    extrema = t1 % (period / 4) + np.arange(4) * (period / 4)
-    at = np.searchsorted(scan, extrema)
-    new = scan[np.minimum(at, scan.size - 1)] != extrema
-    scan = np.insert(scan, at[new], extrema[new])
-    scanned = _first_probabilities(scan, t1, params)
-    # (p[i] - eps) * (p[i + 1] - eps) < 0 exactly when eps lies strictly between
-    lower = np.minimum(scanned[:, :-1], scanned[:, 1:])
-    upper = np.maximum(scanned[:, :-1], scanned[:, 1:])
+    quarter = params.period / 4
+    extrema = t1 % quarter + quarter * np.arange(4)
+    lo = np.broadcast_to(extrema, (2, epsilons.size, 4))
+    eps = epsilons[:, None]
 
-    lefts, rights, outcomes, owners = [], [], [], []
-    for i, eps in enumerate(epsilons):
-        for q in (0, 1):
-            crossed = np.flatnonzero((lower[q] < eps) & (eps < upper[q]))
-            # a scan point landing exactly on the threshold is itself the
-            # jump: a zero-width bracket that bisection leaves in place
-            on = np.flatnonzero(scanned[q][1:-1] == eps) + 1
-            lefts += [crossed, on]
-            rights += [crossed + 1, on]
-            outcomes.append(np.full(crossed.size + on.size, q))
-            owners.append(np.full(crossed.size + on.size, i))
-    left, right = np.concatenate(lefts), np.concatenate(rights)
-    outcome, owner = np.concatenate(outcomes), np.concatenate(owners)
-    eps = epsilons[owner]
-    plus = outcome == 0
-    lo, hi = scan[left], scan[right]
-    g_lo = scanned[outcome, left] - eps
+    def probabilities(phases: np.ndarray) -> np.ndarray:  # p_q; axes (q, epsilon, quarter)
+        p = _first_probabilities(phases, t1, params)
+        return np.array([p[0, 0], p[1, 1]])
+
+    # a quarter starts at a maximum (sign 1) or a minimum (sign -1) of p_q;
+    # lo moves while p_q - eps keeps that sign, and the crossing stays in
+    # [lo, lo + 2 * step]
+    sign = np.where(probabilities(lo) > 0.5, 1.0, -1.0)
+    step = quarter
     for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        p_mid = _first_probabilities(mid, t1, params)
-        g_mid = np.where(plus, p_mid[0], p_mid[1]) - eps
-        to_left = g_lo * g_mid <= 0.0
-        hi = np.where(to_left, mid, hi)
-        lo = np.where(to_left, lo, mid)
-        g_lo = np.where(to_left, g_lo, g_mid)
-
-    roots = 0.5 * (lo + hi) % period
-    order = np.lexsort((roots, owner))
-    bounds = np.searchsorted(owner[order], np.arange(1, epsilons.size))
-    return np.split(roots[order], bounds)
+        step *= 0.5
+        mid = lo + step
+        lo = np.where((probabilities(mid) - eps) * sign > 0.0, mid, lo)
+    roots = np.sort(((lo + step) % params.period).transpose(1, 0, 2).reshape(-1, 8), axis=1)
+    return [row if 0.0 < e < 1.0 else extrema if e == 1.0 else row[:0]
+            for e, row in zip(epsilons.tolist(), roots)]
 
 
 def _panel_nodes(lo: np.ndarray, hi: np.ndarray, panels: np.ndarray,

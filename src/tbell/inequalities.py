@@ -115,22 +115,33 @@ def _combination(spec: InequalitySpec, omega: float, gaps, derivatives: bool = F
 
     ``gaps`` holds n_times - 1 floats or arrays that broadcast together; the
     lag of term (i, j) is the sum of gaps i..j-1, and the term contributes
-    ``coeff * cos(2*omega*lag)``.  With ``derivatives`` the gaps are floats
-    and the result is ``(value, gradient, hessian)`` in the gaps, all exact.
+    ``coeff * cos(2*omega*lag)``: the real part of the product of the phase
+    factors ``exp(2i*omega*gap)`` over those gaps, whose imaginary part is
+    the sine the gradient needs.  A scan over a grid of gaps thus multiplies
+    broadcast factors and takes no cosine of a summed lag.  With
+    ``derivatives`` the gaps are floats and the result is
+    ``(value, gradient, hessian)`` in the gaps, all exact.
     """
     ndim = spec.n_times - 1
-    total = 0.0
+    # one factor per distinct gap object (a stationary scan passes the same
+    # spacing array for every gap); the list keeps each object, so its id, alive
+    gaps = list(gaps)
+    distinct = {id(gap): gap for gap in gaps}
+    exps = {key: np.exp(2j * omega * gap) for key, gap in distinct.items()}
+    factors = [exps[id(gap)] for gap in gaps]
+    # summed in place: a scan holds the total and one complex term at a time
+    total = np.zeros(np.broadcast_shapes(*(factor.shape for factor in factors)))
     grad, hess = np.zeros(ndim), np.zeros((ndim, ndim))
     for i, j, coeff in spec.terms:
-        arg = 2.0 * omega * sum(gaps[i - 1:j - 1])
-        term = coeff * np.cos(arg)
-        total = total + term
+        # coeff * exp(2i*omega*lag); coeff scales the first factor, before the product grows
+        term = math.prod(factors[i - 1:j - 1], start=coeff)
+        total += term.real
         if derivatives:
             span = slice(i - 1, j - 1)
-            grad[span] -= 2.0 * omega * coeff * math.sin(arg)
-            hess[span, span] -= 4.0 * omega * omega * term
+            grad[span] -= 2.0 * omega * term.imag
+            hess[span, span] -= 4.0 * omega * omega * term.real
     if not derivatives:
-        return np.abs(total) if spec.abs_mode else total
+        return np.abs(total, out=total) if spec.abs_mode else total
     sign = -1.0 if spec.abs_mode and total < 0.0 else 1.0
     return sign * float(total), sign * grad, sign * hess
 

@@ -107,6 +107,15 @@ class TestValidate:
         max_dev = float(out.split("max deviation: ")[1].split(" ")[0])
         assert max_dev <= 1e-10
 
+    @pytest.mark.parametrize("nodes", ["10001", "10002"])
+    def test_full_selection_row_with_a_node_on_a_maximum(self, nodes, capsys):
+        # with t1 = 0 the maximum of p+ (10001 nodes) or of p- (10002 nodes)
+        # is a cell midpoint, where p rounds to exactly 1 and passes eps = 1
+        code, out, _ = run_cli(["validate", "--eps-min", "1", "--eps-max", "1",
+                                "--eps-steps", "1", "--t-steps", "16", "--nodes", nodes], capsys)
+        assert code == 0
+        assert float(out.split("max deviation: ")[1].split(" ")[0]) <= 1e-12
+
     def test_writes_cell_table(self, tmp_path, capsys):
         out = tmp_path / "cells.csv"
         code, _, _ = run_cli(["validate", "--eps-steps", "3", "--t-steps", "4",

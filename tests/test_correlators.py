@@ -57,6 +57,15 @@ class TestSelectionFactor:
         assert selection_factor(policy(0.0)) == 1.0
         assert selection_factor(policy(1.0)) == 0.0
 
+    @pytest.mark.parametrize("eps", [5e-10, 1e-6, 0.3, 1.0 - 1e-6])
+    def test_matches_high_precision_closed_form(self, eps):
+        # near eps = 0 the closed form's arccos(2 eps - 1) loses ~1e-16 / sqrt(eps)
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            e = mpmath.mpf(eps)
+            exact = (2 * mpmath.sqrt(e * (1 - e)) + mpmath.acos(2 * e - 1)) / mpmath.pi
+        assert abs(selection_factor(policy(eps)) - float(exact)) <= 2e-16
+
     def test_half_threshold(self):
         assert selection_factor(policy(0.5)) == pytest.approx(A_HALF, abs=1e-12)
         assert selection_factor(policy(0.5)) == pytest.approx((1.0 + math.pi / 2) / math.pi, abs=1e-15)
@@ -146,31 +155,51 @@ class TestOracle:
     def test_jumps_match_analytic_crossings(self, t1, omega):
         # p+ = cos^2(omega (t1 - t')) crosses eps where cos = +-sqrt(eps), and
         # p- = sin^2 where cos = +-sqrt(1 - eps): 4 phases each per period.
-        # Near eps = 0 or 1 the two crossings around an extremum of p+- lie
-        # closer together than one scan step (period / 2000 here); t1 = 2.7
-        # puts no scan point on an extremum.
+        # The jumps are bracketed between the extrema of p+-, every quarter
+        # period from t1, so t1 also runs over a quarter boundary, a value
+        # 1e-15 below it, and a negative value.  Near eps = 0 or 1 the two
+        # crossings around an extremum nearly meet; at eps = 1e-300 they
+        # coincide, below the roundoff-level probability that even the
+        # computed minimum has.
         params = DynamicsParams(omega)
         period = params.period
-        extreme = [1e-10, 1e-7, 1.0 - 1e-7, 1.0 - 1e-10]
+        quarter = period / 4
+        extreme = [1e-300, 1e-10, 1e-7, 1.0 - 1e-7, 1.0 - 1e-10]
         eps_grid = np.concatenate([np.linspace(0.03, 0.97, 24), extreme])
-        jumps = _selection_jumps(eps_grid, t1, params, 1000)
-        assert len(jumps) == eps_grid.size
-        for eps, found in zip(eps_grid, jumps):
-            tol = 1e-9 if eps in extreme else 1e-12
-            assert np.all((found >= 0.0) & (found < period))
-            p_plus = _first_probabilities(found, t1, params)[0]
-            is_plus = np.abs(p_plus - eps) < np.abs(1.0 - p_plus - eps)
-            # cos^2 = level at atan2(sqrt(1 - level), sqrt(level)); 1 - level is
-            # passed in exactly, so the reference stays accurate near 0 and 1
-            for outcome_found, level, rest in ((found[is_plus], eps, 1.0 - eps),
-                                               (found[~is_plus], 1.0 - eps, eps)):
-                angle = math.atan2(math.sqrt(rest), math.sqrt(level))
-                angles = np.array([angle, math.pi - angle])
-                expected = np.concatenate([t1 - angles / omega, t1 + angles / omega]) % period
-                assert outcome_found.size == 4
-                offset = outcome_found[:, None] - expected[None, :]
-                close = np.abs((offset + period / 2) % period - period / 2) <= tol
-                assert np.all(close.sum(axis=0) == 1) and np.all(close.sum(axis=1) == 1)
+        lags = np.linspace(0.0, 3.0, 7)
+        for start in (t1, 3 * quarter, 3 * quarter - 1e-15, -3.1):
+            jumps = _selection_jumps(eps_grid, start, params)
+            assert len(jumps) == eps_grid.size
+            for eps, found in zip(eps_grid, jumps):
+                tol = 1e-9 if eps in extreme else 1e-12
+                assert np.all((found >= 0.0) & (found < period))
+                p_plus = _first_probabilities(found, start, params)[0]
+                is_plus = np.abs(p_plus - eps) < np.abs(1.0 - p_plus - eps)
+                # cos^2 = level at atan2(sqrt(1 - level), sqrt(level)); 1 - level
+                # is passed in exactly, so the reference stays accurate near 0 and 1
+                for outcome_found, level, rest in ((found[is_plus], eps, 1.0 - eps),
+                                                   (found[~is_plus], 1.0 - eps, eps)):
+                    angle = math.atan2(math.sqrt(rest), math.sqrt(level))
+                    angles = np.array([angle, math.pi - angle])
+                    expected = np.concatenate([start - angles / omega,
+                                               start + angles / omega]) % period
+                    assert outcome_found.size == 4
+                    offset = outcome_found[:, None] - expected[None, :]
+                    close = np.abs((offset + period / 2) % period - period / 2) <= tol
+                    # at 1e-300 the crossings come in coinciding pairs
+                    matches = 2 if eps < 1e-100 else 1
+                    assert np.all(close.sum(axis=0) == matches)
+                    assert np.all(close.sum(axis=1) == matches)
+            # the threshold is never crossed at eps = 0 or 1: eps = 0 has no
+            # jumps, and at eps = 1 the extrema are, each a maximum of p+ or
+            # p-; the rows match the closed form A(eps) * cos(2 omega lag)
+            # with A = 1 and 0
+            none, extrema = _selection_jumps(np.array([0.0, 1.0]), start, params)
+            assert none.size == 0
+            assert np.array_equal(extrema, start % quarter + quarter * np.arange(4))
+            rows = k_oracle_grid(start, lags, np.array([0.0, 1.0]), params, QuadratureConfig(1000))
+            assert np.max(np.abs(rows[0] - np.cos(2.0 * omega * lags))) <= 1e-12
+            assert np.max(np.abs(rows[1])) <= 1e-12
 
     @pytest.mark.parametrize("scheme", ["uniform-midpoint", "gauss-legendre"])
     @pytest.mark.parametrize("select_both", [False, True])
@@ -203,6 +232,16 @@ class TestOracle:
         lags = np.linspace(0.1, 2.9, 5)
         grid = k_oracle_grid(0.0, lags, np.array([1.0]), P, QuadratureConfig(1024))
         assert np.max(np.abs(grid)) <= 1e-6
+
+    @pytest.mark.parametrize("scheme", ["uniform-midpoint", "gauss-legendre"])
+    def test_full_selection_is_zero_with_a_node_on_a_maximum(self, scheme):
+        # p rounds to exactly 1 within ~1e-8 of a maximum of p+ or p-.  With
+        # t1 = 0 an odd node count puts a cell midpoint on the maximum of p+
+        # at period / 2; so does t1 on a midpoint of the default grid
+        lags = np.linspace(0.0, 3.0, 7)
+        for t1, nodes in ((0.0, 10001), (0.0, 10002), (math.pi / 10000, 10000)):
+            grid = k_oracle_grid(t1, lags, np.array([1.0]), P, QuadratureConfig(nodes, scheme))
+            assert np.max(np.abs(grid)) <= 1e-12
 
     def test_half_selection_single_value(self):
         req = CorrelationRequest(0.0, math.pi / 6, P, policy(0.5))

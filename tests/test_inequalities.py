@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +30,9 @@ TWO_SQRT_TWO = 2.0 * math.sqrt(2.0)
 # the lowest of the tied optimal spacings, in omega*t
 OPTIMAL_SPACING = {"paz4": math.pi / 8, "santos-minus": math.pi / 3, "santos-plus": math.pi / 6}
 CUSTOM = InequalitySpec(4, ((1, 3, 0.7), (2, 4, -1.3), (1, 2, 0.4), (3, 4, 2.1)), 1.0)
+# a term (1, 4) across all three gaps
+CUSTOM_ABS = InequalitySpec(4, ((1, 4, -0.9), (1, 3, 0.7), (2, 3, 1.1), (3, 4, -0.6)), 1.0,
+                            abs_mode=True)
 
 
 class TestSpecValidation:
@@ -78,6 +82,26 @@ class TestCombination:
                 assert (up[1] - down[1]) / (2 * h) == pytest.approx(hess[k], abs=1e-8)
             assert np.array_equal(hess, hess.T)
             checked += 1
+
+    @pytest.mark.parametrize("spec", [PAZ4, SANTOS_MINUS, SANTOS_PLUS, CUSTOM_ABS])
+    def test_product_form_matches_the_cosine_sum(self, spec):
+        # each term is Re prod exp(i * phase) over its gaps, with the float
+        # phases 2*omega*gap; the reference sums those phases exactly, then
+        # takes c * cos, so only the product form's own roundoff remains
+        # (cos of a float-summed lag would add ~1e-11 at these gaps)
+        mpmath = pytest.importorskip("mpmath")
+        omega = 1.7
+        rng = np.random.default_rng(23)
+        gaps = rng.uniform(0.0, 1e4 / omega, (spec.n_times - 1, 200))
+        values = _combination(spec, omega, tuple(gaps))
+        for k in range(gaps.shape[1]):
+            with mpmath.workdps(40):
+                phases = [mpmath.mpf(2.0 * omega * g) for g in gaps[:, k]]
+                total = sum(c * mpmath.cos(sum(phases[i - 1:j - 1])) for i, j, c in spec.terms)
+                expected = float(abs(total) if spec.abs_mode else total)
+            assert abs(values[k] - expected) <= 1e-14
+            point = _combination(spec, omega, gaps[:, k], derivatives=True)[0]
+            assert abs(point - expected) <= 1e-14
 
     def test_broadcast_grid_matches_pointwise_values(self):
         axis = np.linspace(0.1, 3.0, 5)
@@ -244,6 +268,17 @@ class TestFullSearch:
         assert np.max(np.abs(grad)) <= 1e-12
         assert np.allclose(omega * np.array(gaps), OPTIMAL_SPACING[name], rtol=0.0, atol=1e-13)
 
+    def test_scan_holds_the_total_and_one_term(self):
+        # the 128^3 paz4 scan: a 16 MiB float total plus one 32 MiB complex
+        # term at a time (summing into a new total each term would need 64 MiB)
+        tracemalloc.start()
+        try:
+            full_time_search(PAZ4, P)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 52 * 2**20
+
     def test_rejects_unsupported_arity(self):
         wide = InequalitySpec(5, ((1, 5, 1.0),), 1.0)
         with pytest.raises(ValueError):
@@ -278,6 +313,14 @@ class TestThreshold:
             eps_star = threshold_from_maximum(spec, delta_k_max)
             assert 0.0 < eps_star < 1.0
             assert abs(selection_factor(SelectionPolicy(eps_star)) - 1.0 / delta_k_max) <= 1e-14
+
+    def test_solves_a_level_next_to_one(self):
+        # bound / max = 1 - 1e-15 puts the root near eps = 5e-10, where A must
+        # stay accurate for the residual to reach roundoff
+        delta_k_max = 1.0 / (1.0 - 1e-15)
+        eps_star = threshold_from_maximum(SANTOS_MINUS, delta_k_max)
+        target = SANTOS_MINUS.bound / delta_k_max
+        assert abs(selection_factor(SelectionPolicy(eps_star)) - target) <= 1e-15
 
     def test_threshold_straddles_the_violation_boundary(self):
         for spec in (SANTOS_MINUS, PAZ4):
