@@ -32,6 +32,7 @@ _INT_KEYS = frozenset({"n", "eps_steps", "t_steps", "nodes", "custom_n_times"})
 _BOOL_KEYS = frozenset({"select_both", "physical_time", "full_search", "custom_abs"})
 _STR_KEYS = frozenset({"preset", "scheme", "format", "out", "times", "outcomes", "custom_terms"})
 _ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _BOOL_KEYS | _STR_KEYS
+_FORMATS = ("csv", "json-lines")
 
 
 class ConfigError(Exception):
@@ -55,6 +56,8 @@ def _cast(key: str, text: str):
             return int(text)
         if key in _BOOL_KEYS:
             return _parse_bool(text)
+        if key == "format" and text not in _FORMATS:
+            raise ValueError(text)
         return text
     except ValueError:
         raise ConfigError(f"bad value for {key!r}: {text!r}") from None
@@ -97,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--nodes", type=int, help="phase-grid size for the oracle")
     common.add_argument("--scheme", choices=list(correlators.QUADRATURE_SCHEMES))
     common.add_argument("--out", help="output path ('-' for stdout)")
-    common.add_argument("--format", choices=["csv", "json-lines"])
+    common.add_argument("--format", choices=_FORMATS)
     common.add_argument("--select-both", action="store_const", const=True, default=None,
                         help="apply the threshold to the second outcome too (exploratory)")
     common.add_argument("--physical-time", action="store_const", const=True, default=None,
@@ -225,6 +228,11 @@ def _fmt(value) -> str:
 
 
 def _emit_table(cfg: dict, header: list[str], rows) -> None:
+    """Write the table to ``--out`` or stdout; a non-finite value writes nothing."""
+    finite = np.isfinite(np.asarray(rows, dtype=float))
+    if not finite.all():
+        column = header[int(np.argwhere(~finite)[0, 1])]
+        raise FloatingPointError(f"non-finite {column} value; nothing written")
     fmt = cfg.get("format", "csv")
     lines = []
     if fmt == "csv":
@@ -441,7 +449,7 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -34,9 +34,6 @@ QUADRATURE_SCHEMES = ("uniform-midpoint", "gauss-legendre")
 
 DEFAULT_NODES = 10_000
 
-# Sub-nodes per smooth segment when a phase cell straddles a selection jump.
-_SUBDIVISION_NODES = 16
-
 _GAUSS_ORDER = 16
 
 
@@ -75,7 +72,11 @@ class CorrelationRequest:
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Phase-grid settings for the t' average."""
+    """Phase-grid settings for the t' average.
+
+    ``uniform-midpoint`` uses ``n_nodes`` cells of one node each;
+    ``gauss-legendre`` uses ``n_nodes // 16`` cells of 16 nodes each.
+    """
 
     n_nodes: int = DEFAULT_NODES
     scheme: str = "uniform-midpoint"
@@ -181,11 +182,13 @@ def k_oracle_grid(
     A plain node-indicator rule would be O(eps / n_nodes) wrong near those
     jumps, so the jump positions are located by bisection on the simulated
     pre-measurement probability, for all epsilons at once, and the phase
-    quadrature is split at them.  The midpoint scheme keeps its uniform cells
-    and replaces each cell that straddles a jump by sub-nodes on its smooth
-    pieces; the Gauss-Legendre scheme lays panels on each smooth piece.  This
-    keeps the quadrature deterministic while pushing the error down to the
-    smooth-piece level (~1e-8 for midpoint at the default node count).
+    quadrature is split at them.  Both schemes lay one reference rule on
+    uniform cells and replace each cell that straddles a jump by the same
+    rule on each of its smooth pieces: the midpoint rule (one node) on
+    ``n_nodes`` cells, or the 16-point Gauss-Legendre rule on
+    ``n_nodes // 16`` cells.  This keeps the quadrature deterministic while
+    pushing the error down to the smooth-piece level (~1e-8 for midpoint at
+    the default node count).
 
     Returns an array of shape ``(len(epsilons), len(lags))``; each row
     depends on its own epsilon only.
@@ -202,9 +205,10 @@ def k_oracle_grid(
         raise ValueError("epsilons must lie in [0, 1]")
 
     if quad.scheme == "uniform-midpoint":
-        phase_rule = _midpoint_rule(t1, params, quad.n_nodes)
+        reference = np.zeros(1), np.full(1, 2.0)
     else:
-        phase_rule = _gauss_rule(t1, params, quad.n_nodes)
+        reference = np.polynomial.legendre.leggauss(_GAUSS_ORDER)
+    phase_rule = _phase_rule(t1, params, quad.n_nodes, *reference)
     cond = _conditional_probabilities(lags, params)
     jumps = _selection_jumps(epsilons, t1, params)
     rows = np.empty((epsilons.size, lags.size))
@@ -281,45 +285,40 @@ def _selection_jumps(epsilons: np.ndarray, t1: float, params: DynamicsParams) ->
             for e, row in zip(epsilons.tolist(), roots)]
 
 
-def _panel_nodes(lo: np.ndarray, hi: np.ndarray, panels: np.ndarray,
-                 ref_nodes: np.ndarray, ref_weights: np.ndarray,
+def _piece_nodes(lo: np.ndarray, hi: np.ndarray, ref_nodes: np.ndarray, ref_weights: np.ndarray,
                  t1: float, params: DynamicsParams) -> tuple[np.ndarray, np.ndarray]:
     """First-outcome probabilities and weights of a reference rule on [-1, 1]
-    mapped onto ``panels`` equal panels of each piece [lo, hi].
+    mapped onto each piece [lo, hi].
 
     Pieces no wider than roundoff are dropped.  Weights are fractions of the
     phase period.
     """
-    period = params.period
-    width = hi - lo
-    keep = width > period * 1e-15
-    lo, width, panels = lo[keep], width[keep], panels[keep]
-    piece = np.repeat(np.arange(lo.size), panels)
-    k = np.arange(piece.size) - np.repeat(np.cumsum(panels) - panels, panels)
-    a = lo[piece] + width[piece] * k / panels[piece]
-    b = lo[piece] + width[piece] * (k + 1) / panels[piece]
-    half = 0.5 * (b - a)
-    phases = 0.5 * (a + b)[:, None] + half[:, None] * ref_nodes
-    weights = half[:, None] * ref_weights / period
+    keep = hi - lo > params.period * 1e-15
+    lo, hi = lo[keep], hi[keep]
+    half = 0.5 * (hi - lo)
+    phases = 0.5 * (lo + hi)[:, None] + half[:, None] * ref_nodes
+    weights = half[:, None] * ref_weights / params.period
     return _first_probabilities(phases.ravel(), t1, params), weights.ravel()
 
 
-def _midpoint_rule(t1: float, params: DynamicsParams, n_nodes: int):
-    """Phase rule: uniform midpoint cells, with each cell that straddles a
-    jump replaced by sub-nodes on its smooth pieces.
+def _phase_rule(t1: float, params: DynamicsParams, n_nodes: int,
+                ref_nodes: np.ndarray, ref_weights: np.ndarray):
+    """Phase rule: a reference rule on [-1, 1] laid on ``n_nodes // len(ref_nodes)``
+    uniform cells, with each cell that straddles a jump replaced by the same
+    rule on each of its smooth pieces.
 
     Returns a function of the sorted jumps giving ``(p1, weights)``; the
     first-outcome probabilities on the uniform cells are computed once.
     """
     period = params.period
-    h = period / n_nodes
-    p1_cells = _first_probabilities((np.arange(n_nodes) + 0.5) * h, t1, params)
-    w_cells = np.full(n_nodes, h / period)
-    ref_nodes = (np.arange(_SUBDIVISION_NODES) + 0.5) * (2.0 / _SUBDIVISION_NODES) - 1.0
-    ref_weights = np.full(_SUBDIVISION_NODES, 2.0 / _SUBDIVISION_NODES)
+    n_cells = n_nodes // ref_nodes.size
+    h = period / n_cells
+    phases = ((np.arange(n_cells) + 0.5) * h)[:, None] + (0.5 * h) * ref_nodes
+    p1_cells = _first_probabilities(phases.ravel(), t1, params)
+    w_cells = np.tile((0.5 * h) * ref_weights / period, (n_cells, 1))
 
     def rule(jumps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        cells = np.minimum((jumps / h).astype(int), n_nodes - 1)
+        cells = np.minimum((jumps / h).astype(int), n_cells - 1)
         first = np.ones(cells.size, dtype=bool)
         first[1:] = cells[1:] != cells[:-1]
         last = np.ones(cells.size, dtype=bool)
@@ -327,29 +326,9 @@ def _midpoint_rule(t1: float, params: DynamicsParams, n_nodes: int):
         # a cell's pieces run from its left edge through its jumps to its right edge
         lo = np.concatenate([np.where(first, cells * h, np.roll(jumps, 1)), jumps[last]])
         hi = np.concatenate([jumps, (cells[last] + 1) * h])
-        p1_sub, w_sub = _panel_nodes(lo, hi, np.ones(lo.size, dtype=int),
-                                     ref_nodes, ref_weights, t1, params)
-        weights = np.concatenate([w_cells, w_sub])
-        weights[cells] = 0.0  # the sub-nodes stand in for these cells
-        return np.concatenate([p1_cells, p1_sub], axis=1), weights
-
-    return rule
-
-
-def _gauss_rule(t1: float, params: DynamicsParams, n_nodes: int):
-    """Phase rule: Gauss-Legendre panels of ``_GAUSS_ORDER`` nodes on each
-    smooth piece, about ``n_nodes`` nodes in all.
-
-    Returns a function of the sorted jumps giving ``(p1, weights)``.
-    """
-    period = params.period
-    ref_nodes, ref_weights = np.polynomial.legendre.leggauss(_GAUSS_ORDER)
-
-    def rule(jumps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        cuts = np.concatenate([[0.0], jumps, [period]])
-        lo, hi = cuts[:-1], cuts[1:]
-        target = np.maximum(_GAUSS_ORDER, np.round(n_nodes * (hi - lo) / period).astype(int))
-        panels = np.maximum(1, target // _GAUSS_ORDER)
-        return _panel_nodes(lo, hi, panels, ref_nodes, ref_weights, t1, params)
+        p1_sub, w_sub = _piece_nodes(lo, hi, ref_nodes, ref_weights, t1, params)
+        weights = w_cells.copy()
+        weights[cells] = 0.0  # the pieces stand in for these cells
+        return np.concatenate([p1_cells, p1_sub], axis=1), np.concatenate([weights.ravel(), w_sub])
 
     return rule

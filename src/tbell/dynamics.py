@@ -38,8 +38,9 @@ class DynamicsParams:
     omega: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.omega) and self.omega > 0):
-            raise ValueError(f"omega must be finite and > 0, got {self.omega!r}")
+        if not (math.isfinite(self.omega) and self.omega > 0 and math.isfinite(self.period)):
+            raise ValueError(f"omega must be finite and > 0 with a finite period 2*pi/omega, "
+                             f"got {self.omega!r}")
 
     @property
     def period(self) -> float:

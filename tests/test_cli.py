@@ -3,6 +3,7 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from tbell import cli
@@ -271,11 +272,15 @@ class TestConfigHandling:
         assert "unknown key" in err
 
     def test_bad_value(self, tmp_path, capsys):
+        # a config value gets the same checks as the flag: --format xml exits 2 too
         config = tmp_path / "run.cfg"
-        config.write_text("epsilon = slow\n")
-        code, _, err = run_cli(["fig1", "--config", str(config)], capsys)
-        assert code == 2
-        assert "bad value" in err
+        for command, text in (("fig1", "epsilon = slow\n"),
+                              ("correlate", "format = xml\nt1 = 0\nt2 = 1\n")):
+            config.write_text(text)
+            code, out, err = run_cli([command, "--config", str(config)], capsys)
+            assert code == 2
+            assert out == ""
+            assert "bad value" in err
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(["fig1", "--config", "/nonexistent/run.cfg"], capsys)
@@ -314,6 +319,20 @@ class TestConfigHandling:
         assert out == ""
         assert "must be finite" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["threshold", "--preset", "paz4", "--omega", "1e-308"],
+        ["threshold", "--preset", "paz4", "--rabi", "1e-308", "--n", "0"],
+        ["fig2", "--omega", "1e-308"],
+        ["fig1", "--omega", "1e-308", "--t-steps", "3"],
+    ])
+    def test_rejects_omega_with_overflowing_period(self, argv, capfd):
+        # capfd, not capsys: LAPACK once wrote to file descriptor 1 on this input
+        code = cli.main(argv)
+        out, err = capfd.readouterr()
+        assert code == 2
+        assert out == ""
+        assert "omega" in err
+
 
 class TestOutputContract:
     def test_numbers_round_trip_exactly(self, tmp_path, capsys):
@@ -336,6 +355,19 @@ class TestOutputContract:
             code, _, _ = run_cli(["fig2", "--eps-steps", "31", "--out", str(path)], capsys)
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json-lines"])
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_refuses_non_finite_values(self, fmt, to_file, tmp_path, capsys):
+        # the physical time 2 * 1e308 overflows, so q_free is nan
+        out = tmp_path / "fig1.out"
+        argv = ["fig1", "--omega", "0.5", "--t-max", "1e308", "--t-steps", "3", "--format", fmt]
+        with np.errstate(all="ignore"):
+            code, stdout, err = run_cli(argv + (["--out", str(out)] if to_file else []), capsys)
+        assert code == 1
+        assert stdout == ""
+        assert not out.exists()
+        assert "non-finite q_free" in err
 
     def test_stdout_when_no_out_flag(self, capsys):
         code, out, _ = run_cli(["fig1", "--t-steps", "5"], capsys)

@@ -268,13 +268,18 @@ class TestOracle:
         assert grid[0, 0] == pytest.approx(grid[0, 1], abs=1e-9)
 
     def test_gauss_scheme_agrees_with_closed_form(self):
-        quad = QuadratureConfig(2000, "gauss-legendre")
-        eps_grid = np.array([0.0, 0.3, 0.7, 1.0])
+        # one cell (16 nodes), a node count that is not a multiple of 16, and
+        # jumps next to the extrema of p+- (eps near 0 and 1)
+        eps_grid = np.array([0.0, 1e-7, 0.3, 0.7, 1.0 - 1e-7, 1.0])
         lags = np.linspace(0.1, 3.0, 5)
-        grid = k_oracle_grid(0.0, lags, eps_grid, P, quad)
-        for i, eps in enumerate(eps_grid):
-            expected = selection_factor(policy(eps)) * np.cos(2.0 * lags)
-            assert np.max(np.abs(grid[i] - expected)) <= 1e-9
+        for nodes in (16, 17, 160, 2000, 10001):
+            quad = QuadratureConfig(nodes, "gauss-legendre")
+            for t1 in (0.0, 2.7):
+                for omega in (1.0, 2.3):
+                    grid = k_oracle_grid(t1, lags, eps_grid, DynamicsParams(omega), quad)
+                    for i, eps in enumerate(eps_grid):
+                        expected = selection_factor(policy(eps)) * np.cos(2.0 * omega * lags)
+                        assert np.max(np.abs(grid[i] - expected)) <= 1e-14
 
     def test_select_both_matches_at_zero_threshold(self):
         lags = np.linspace(0.0, 3.0, 9)

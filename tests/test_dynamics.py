@@ -17,6 +17,7 @@ from tbell.dynamics import (
     propagate,
     trajectory_product,
 )
+from tbell.inequalities import jaynes_cummings_frequency
 
 P = DynamicsParams(1.0)  # omega = 1: angles and times coincide
 SQRT_HALF = 0.7071067811865476
@@ -40,6 +41,14 @@ class TestParams:
             DynamicsParams(-1.0)
         with pytest.raises(ValueError):
             DynamicsParams(math.inf)
+
+    def test_rejects_omega_with_overflowing_period(self):
+        assert math.isfinite(DynamicsParams(1e-307).period)
+        with pytest.raises(ValueError, match="period"):
+            DynamicsParams(1e-308)
+        # the cavity-mode frequency goes through the same check
+        with pytest.raises(ValueError, match="period"):
+            DynamicsParams(jaynes_cummings_frequency(1e-308, 0))
 
     def test_period(self):
         assert DynamicsParams(2.0).period == pytest.approx(math.pi, abs=1e-15)
