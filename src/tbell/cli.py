@@ -268,7 +268,7 @@ def cmd_fig1(cfg: dict) -> int:
     axis = _grid(cfg.get("t_min", 0.0), cfg.get("t_max", 4.0 * math.pi),
                  cfg.get("t_steps", 1025), "t grid")
     spacing = axis * scale
-    q_free = np.cos(2.0 * params.omega * spacing)
+    q_free = np.cos(2.0 * (params.omega * spacing))
     curve = inequalities.stationary_curve(spec, spacing, params, SelectionPolicy(0.0))
     rows = [(axis[i], q_free[i], curve[i], spec.bound) for i in range(axis.size)]
     _emit_table(cfg, [axis_name, "q_free", "delta_k_minus", "bound"], rows)

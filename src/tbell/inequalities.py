@@ -7,9 +7,10 @@ by the same time-independent factor A(eps), so the optimal times never move,
 only the attainable maximum shrinks.  ``epsilon_threshold`` finds the
 distinguishability level where the degraded maximum falls back to the bound.
 
-Without selection every combination is a sum of terms ``c * cos(2*omega*lag)``
-in the inter-measurement gaps, so its gradient and Hessian are exact; the
-maximizers refine a grid scan by Newton steps on them.
+Without selection every combination is a sum of terms ``c * cos(2*sum(theta))``
+over the phases ``theta = omega * gap`` of the gaps it spans, so its exact
+gradient and Hessian are O(1) at every omega; the maximizers refine a grid
+scan in theta by Newton steps on them, and convert to times only at the edge.
 """
 
 from __future__ import annotations
@@ -110,68 +111,72 @@ PRESETS: dict[str, InequalitySpec] = {
 }
 
 
-def _combination(spec: InequalitySpec, omega: float, gaps, derivatives: bool = False):
-    """Unselected combination at the inter-measurement gaps.
+def _combination(spec: InequalitySpec, thetas, derivatives: bool = False):
+    """Unselected combination at the gap phases ``thetas``.
 
-    ``gaps`` holds n_times - 1 floats or arrays that broadcast together; the
-    lag of term (i, j) is the sum of gaps i..j-1, and the term contributes
-    ``coeff * cos(2*omega*lag)``: the real part of the product of the phase
-    factors ``exp(2i*omega*gap)`` over those gaps, whose imaginary part is
-    the sine the gradient needs.  A scan over a grid of gaps thus multiplies
-    broadcast factors and takes no cosine of a summed lag.  With
-    ``derivatives`` the gaps are floats and the result is
-    ``(value, gradient, hessian)`` in the gaps, all exact.
+    ``thetas`` holds n_times - 1 floats or arrays that broadcast together; the
+    phase of term (i, j) is the sum of thetas i..j-1, and the term contributes
+    ``coeff * cos(2*phase)``: the real part of the product of the factors
+    ``exp(2i*theta)`` over those gaps, whose imaginary part is the sine the
+    gradient needs.  A scan over a grid of phases thus multiplies broadcast
+    factors and takes no cosine of a summed phase.  With ``derivatives`` the
+    thetas are floats and the result is ``(value, gradient, hessian)`` in the
+    thetas, all exact.
     """
     ndim = spec.n_times - 1
-    # one factor per distinct gap object (a stationary scan passes the same
-    # spacing array for every gap); the list keeps each object, so its id, alive
-    gaps = list(gaps)
-    distinct = {id(gap): gap for gap in gaps}
-    exps = {key: np.exp(2j * omega * gap) for key, gap in distinct.items()}
-    factors = [exps[id(gap)] for gap in gaps]
+    # one factor per distinct phase object (a stationary scan passes the same
+    # array for every gap); the list keeps each object, so its id, alive
+    thetas = list(thetas)
+    distinct = {id(theta): theta for theta in thetas}
+    exps = {key: np.exp(2j * theta) for key, theta in distinct.items()}
+    factors = [exps[id(theta)] for theta in thetas]
     # summed in place: a scan holds the total and one complex term at a time
     total = np.zeros(np.broadcast_shapes(*(factor.shape for factor in factors)))
     grad, hess = np.zeros(ndim), np.zeros((ndim, ndim))
     for i, j, coeff in spec.terms:
-        # coeff * exp(2i*omega*lag); coeff scales the first factor, before the product grows
+        # coeff * exp(2i*phase); coeff scales the first factor, before the product grows
         term = math.prod(factors[i - 1:j - 1], start=coeff)
         total += term.real
         if derivatives:
             span = slice(i - 1, j - 1)
-            grad[span] -= 2.0 * omega * term.imag
-            hess[span, span] -= 4.0 * omega * omega * term.real
+            grad[span] -= 2.0 * term.imag
+            hess[span, span] -= 4.0 * term.real
     if not derivatives:
         return np.abs(total, out=total) if spec.abs_mode else total
     sign = -1.0 if spec.abs_mode and total < 0.0 else 1.0
     return sign * float(total), sign * grad, sign * hess
 
 
-def _first_best(values: np.ndarray) -> int:
-    """Flat index of the first value tied with the maximum.
+def _maximize(spec: InequalitySpec, columns: tuple[int, ...], points: int) -> tuple[float, np.ndarray]:
+    """Maximum of the unselected combination, and its gap phases.
 
-    Ties are values within a relative ``_TIE_TOL`` of it, so they break
-    toward the lowest gaps instead of by roundoff.
+    ``columns[d]`` names the free variable of gap d: ``(0, 0, ...)`` is equal
+    spacing, ``(0, 1, ...)`` the full search.  A scan of ``points`` phases per
+    variable over (0, pi] seeds Newton steps on the exact Hessian system
+    (least squares, so a flat direction gets no step); they shrink down to
+    roundoff, and the first that does not shrink ends the ascent.  Scan values
+    within a relative ``_TIE_TOL`` of the maximum count as tied, so ties break
+    toward the lowest phases instead of by roundoff.
     """
+    nvar = max(columns) + 1
+    axis = math.pi / points * np.arange(1, points + 1)
+    # one broadcast axis per variable: the scan never builds a mesh of phase vectors
+    mesh = [axis.reshape((1,) * v + (-1,) + (1,) * (nvar - v - 1)) for v in range(nvar)]
+    values = _combination(spec, [mesh[v] for v in columns])
     top = values.max()
-    return int(np.argmax(values >= top - _TIE_TOL * abs(top)))
-
-
-def _newton_max(spec: InequalitySpec, omega: float, basis: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Newton ascent on the gaps ``basis @ x`` from a grid seed ``x``.
-
-    Each step solves the exact Hessian system restricted to the basis (least
-    squares, so a flat direction gets no step).  Steps shrink quadratically
-    down to roundoff; the first that does not shrink ends the ascent.
-    """
+    first = int(np.argmax(values >= top - _TIE_TOL * abs(top)))
+    x = axis[np.array(np.unravel_index(first, values.shape))]
+    basis = np.eye(nvar)[list(columns)]  # thetas = basis @ x
     last = math.inf
     for _ in range(_NEWTON_STEPS):
-        _, grad, hess = _combination(spec, omega, basis @ x, derivatives=True)
+        _, grad, hess = _combination(spec, basis @ x, derivatives=True)
         step = np.linalg.lstsq(basis.T @ hess @ basis, -(basis.T @ grad), rcond=None)[0]
         size = float(np.max(np.abs(step)))
         if not size < last:
             break
         x, last = x + step, size
-    return x
+    thetas = basis @ x
+    return float(_combination(spec, thetas)), thetas
 
 
 def delta_k(
@@ -185,7 +190,7 @@ def delta_k(
         raise ValueError("time count mismatch")
     if any(b <= a for a, b in zip(times, times[1:])):
         raise ValueError("times not ascending")
-    return selection_factor(policy) * float(_combination(spec, params.omega, np.diff(times)))
+    return selection_factor(policy) * float(_combination(spec, params.omega * np.diff(times)))
 
 
 def delta_k_stationary(
@@ -211,8 +216,8 @@ def stationary_curve(
     Unlike delta_k_stationary this is total on spacing >= 0 (the limit at
     zero spacing is well defined), which the figure sweeps rely on.
     """
-    s = np.asarray(spacings, dtype=float)
-    return selection_factor(policy) * _combination(spec, params.omega, (s,) * (spec.n_times - 1))
+    theta = params.omega * np.asarray(spacings, dtype=float)
+    return selection_factor(policy) * _combination(spec, (theta,) * (spec.n_times - 1))
 
 
 def maximize_violation(
@@ -222,22 +227,18 @@ def maximize_violation(
 ) -> ViolationReport:
     """Maximize the stationary combination and report the degraded violation.
 
-    A grid scan covers one spacing period, omega*t in (0, pi], and Newton
-    steps on the exact derivatives refine its best point; tied maxima break
-    toward the lowest spacing.  The objective is evaluated without selection;
-    the policy's factor is applied afterwards, which is exact because the
-    factor is time independent (so the argmax is too).
+    The search runs in the phase omega*t: a grid scan over one spacing period,
+    (0, pi], then Newton steps; tied maxima break toward the lowest spacing.
+    The objective is evaluated without selection; the policy's factor is
+    applied afterwards, which is exact because the factor is time independent
+    (so the argmax is too).  The argmax phase is divided by omega once.
     """
-    ndim = spec.n_times - 1
-    grid = math.pi / params.omega / _STATIONARY_GRID * np.arange(1, _STATIONARY_GRID + 1)
-    seed = grid[_first_best(_combination(spec, params.omega, (grid,) * ndim))]
-    spacing = float(_newton_max(spec, params.omega, np.ones((ndim, 1)), np.array([seed]))[0])
-    dk_max = float(_combination(spec, params.omega, (spacing,) * ndim))
+    dk_max, thetas = _maximize(spec, (0,) * (spec.n_times - 1), _STATIONARY_GRID)
     a_eps = selection_factor(policy)
     delta_b = (a_eps * dk_max - spec.bound) / spec.bound
     return ViolationReport(
         delta_k_max=dk_max,
-        argmax_spacing=spacing,
+        argmax_spacing=float(thetas[0]) / params.omega,
         a_epsilon=a_eps,
         delta_b_max=delta_b,
         violated=delta_b > 0.0,
@@ -247,10 +248,10 @@ def maximize_violation(
 def full_time_search(spec: InequalitySpec, params: DynamicsParams) -> tuple[float, tuple[float, ...]]:
     """Unconstrained-gap maximization of the unselected combination.
 
-    Searches all n_times - 1 inter-measurement gaps independently (a grid
-    scan over one period per gap, then Newton steps on the exact gradient and
-    Hessian) instead of assuming equal spacing.  Supported for 3 or 4 times;
-    the equal-spacing optimum is confirmed when this agrees with
+    Searches the phases omega*gap of all n_times - 1 gaps independently (a
+    grid scan over one period per gap, then Newton steps) instead of assuming
+    equal spacing, and divides them by omega once.  Supported for 3 or 4
+    times; the equal-spacing optimum is confirmed when this agrees with
     maximize_violation.
 
     Returns (maximum, gaps).
@@ -258,13 +259,8 @@ def full_time_search(spec: InequalitySpec, params: DynamicsParams) -> tuple[floa
     ndim = spec.n_times - 1
     if ndim not in (2, 3):
         raise ValueError("full search supports n_times in {3, 4} only")
-    axis = math.pi / params.omega / _GAP_GRID * np.arange(1, _GAP_GRID + 1)
-    # one broadcast axis per gap: the scan never builds a mesh of gap vectors
-    mesh = tuple(axis.reshape((1,) * d + (-1,) + (1,) * (ndim - d - 1)) for d in range(ndim))
-    values = _combination(spec, params.omega, mesh)
-    seed = axis[np.array(np.unravel_index(_first_best(values), values.shape))]
-    gaps = _newton_max(spec, params.omega, np.eye(ndim), seed)
-    return float(_combination(spec, params.omega, gaps)), tuple(gaps.tolist())
+    best, thetas = _maximize(spec, tuple(range(ndim)), _GAP_GRID)
+    return best, tuple((thetas / params.omega).tolist())
 
 
 def threshold_from_maximum(spec: InequalitySpec, delta_k_max: float) -> float:

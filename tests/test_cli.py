@@ -45,6 +45,15 @@ class TestFig1:
         assert code == 2
         assert "santos-minus" in err
 
+    def test_huge_omega(self, capsys):
+        # 2 * omega overflows at omega = 1e308; the phase omega * t does not
+        tables = []
+        for omega in ("1", "1e308"):
+            code, out, err = run_cli(["fig1", "--omega", omega, "--t-steps", "9"], capsys)
+            assert code == 0 and err == ""
+            tables.append(np.array([line.split(",") for line in out.splitlines()[1:]], dtype=float))
+        assert np.allclose(tables[1], tables[0], rtol=0.0, atol=1e-12)
+
     def test_physical_time_axis(self, tmp_path, capsys):
         out = tmp_path / "fig1.csv"
         code, _, _ = run_cli(["fig1", "--omega", "2.0", "--physical-time",
@@ -84,6 +93,17 @@ class TestFig2:
     def test_epsilon_grid_validation(self, capsys):
         code, _, _ = run_cli(["fig2", "--eps-min", "-0.2"], capsys)
         assert code == 2
+
+    def test_huge_omega_writes_only_the_table(self, capfd):
+        # the combination maximum does not depend on omega, so neither does fig2
+        tables = []
+        for omega in ("1", "1e300"):
+            assert cli.main(["fig2", "--omega", omega, "--eps-steps", "3"]) == 0
+            out, err = capfd.readouterr()
+            assert err == ""
+            tables.append(out)
+        assert tables[1] == tables[0]
+        assert tables[0].splitlines()[0] == "epsilon,delta_b_max_paz,delta_b_max_santos"
 
 
 class TestValidate:
@@ -158,6 +178,26 @@ class TestThreshold:
         assert code == 0
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("omega", ["1e-200", "1e200", "1e300"])
+    @pytest.mark.parametrize("preset", ["paz4", "santos-minus", "santos-plus"])
+    def test_extreme_omega_prints_the_same_numbers(self, preset, omega, capfd):
+        # capfd, not capsys: at omega = 1e200 LAPACK once wrote to file
+        # descriptor 1 from the Newton step, then the command exited 2
+        reports = []
+        for value in ("1", omega):
+            code = cli.main(["threshold", "--preset", preset, "--omega", value, "--full-search"])
+            out, err = capfd.readouterr()
+            assert code == 0 and err == ""
+            reports.append(dict(line.split(": ") for line in out.splitlines()))
+        reference, extreme = reports
+        assert list(extreme) == ["preset", "delta_k_max", "argmax_omega_t", "epsilon_star",
+                                 "a_epsilon_star", "full_search_max", "full_search_gaps_omega_t"]
+        for key in ("delta_k_max", "epsilon_star", "a_epsilon_star", "full_search_max"):
+            assert extreme[key] == reference[key]
+        optimum = float(reference["argmax_omega_t"])
+        for phase in [extreme["argmax_omega_t"]] + extreme["full_search_gaps_omega_t"].split(","):
+            assert float(phase) == pytest.approx(optimum, rel=0.0, abs=4.5e-16)
+
     def test_full_search_report(self, capsys):
         code, out, _ = run_cli(["threshold", "--preset", "paz4", "--full-search"], capsys)
         assert code == 0
@@ -196,6 +236,23 @@ class TestCorrelate:
         assert row["a_epsilon"] == selection_factor(SelectionPolicy(0.5))
         assert row["k_selective"] == pytest.approx(0.40915494309189535, abs=1e-12)
         assert abs(row["k_oracle"] - row["k_selective"]) <= 1e-6
+
+    @pytest.mark.parametrize("t", ["1e15", "1e300"])
+    def test_huge_first_time(self, t, capsys):
+        # the phase average does not depend on t1 modulo the period
+        code, out, _ = run_cli(["correlate", "--omega", "3", "--t1", t, "--t2", t,
+                                "--epsilon", "0.3"], capsys)
+        assert code == 0
+        header, row = (line.split(",") for line in out.splitlines())
+        row = dict(zip(header, map(float, row)))
+        assert abs(row["k_oracle"] - row["k_selective"]) <= 1e-6
+
+    def test_rejects_node_count_over_the_cap(self, capsys):
+        code, out, err = run_cli(["correlate", "--t1", "0", "--t2", "1",
+                                  "--nodes", "100000000000"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: n_nodes") and "Traceback" not in err
 
     def test_requires_both_times(self, capsys):
         code, _, _ = run_cli(["correlate", "--t1", "0"], capsys)

@@ -124,6 +124,12 @@ class TestQuadratureConfig:
         with pytest.raises(ValueError):
             QuadratureConfig(n_nodes=15)
 
+    def test_caps_the_node_count(self):
+        # construct only: an oracle run at the cap peaks near 0.8 GB
+        assert QuadratureConfig(10**7).n_nodes == 10**7
+        with pytest.raises(ValueError, match="n_nodes"):
+            QuadratureConfig(10**7 + 1)
+
     def test_rejects_unknown_scheme(self):
         with pytest.raises(ValueError):
             QuadratureConfig(scheme="simpson")

@@ -64,20 +64,20 @@ class TestCombination:
     @pytest.mark.parametrize("spec", [PAZ4, SANTOS_MINUS, SANTOS_PLUS, CUSTOM])
     def test_derivatives_match_central_differences(self, spec, abs_mode):
         spec = dataclasses.replace(spec, abs_mode=abs_mode)
-        omega, h = 1.7, 1e-6
+        h = 1e-6
         rng = np.random.default_rng(11)
         ndim = spec.n_times - 1
         checked = 0
         while checked < 20:
-            gaps = rng.uniform(0.05, 2.0, ndim)
-            value, grad, hess = _combination(spec, omega, gaps, derivatives=True)
+            thetas = rng.uniform(0.085, 3.4, ndim)
+            value, grad, hess = _combination(spec, thetas, derivatives=True)
             if abs(value) < 0.05:
                 continue  # keep clear of the kink of |.| in abs mode
-            assert value == _combination(spec, omega, gaps)
+            assert value == _combination(spec, thetas)
             for k in range(ndim):
                 e = np.zeros(ndim)
                 e[k] = h
-                up, down = (_combination(spec, omega, gaps + s * e, derivatives=True) for s in (1, -1))
+                up, down = (_combination(spec, thetas + s * e, derivatives=True) for s in (1, -1))
                 assert (up[0] - down[0]) / (2 * h) == pytest.approx(grad[k], abs=1e-8)
                 assert (up[1] - down[1]) / (2 * h) == pytest.approx(hess[k], abs=1e-8)
             assert np.array_equal(hess, hess.T)
@@ -86,30 +86,29 @@ class TestCombination:
     @pytest.mark.parametrize("spec", [PAZ4, SANTOS_MINUS, SANTOS_PLUS, CUSTOM_ABS])
     def test_product_form_matches_the_cosine_sum(self, spec):
         # each term is Re prod exp(i * phase) over its gaps, with the float
-        # phases 2*omega*gap; the reference sums those phases exactly, then
+        # phases 2*theta; the reference sums those phases exactly, then
         # takes c * cos, so only the product form's own roundoff remains
-        # (cos of a float-summed lag would add ~1e-11 at these gaps)
+        # (cos of a float-summed phase would add ~1e-11 at these thetas)
         mpmath = pytest.importorskip("mpmath")
-        omega = 1.7
         rng = np.random.default_rng(23)
-        gaps = rng.uniform(0.0, 1e4 / omega, (spec.n_times - 1, 200))
-        values = _combination(spec, omega, tuple(gaps))
-        for k in range(gaps.shape[1]):
+        thetas = rng.uniform(0.0, 1e4, (spec.n_times - 1, 200))
+        values = _combination(spec, tuple(thetas))
+        for k in range(thetas.shape[1]):
             with mpmath.workdps(40):
-                phases = [mpmath.mpf(2.0 * omega * g) for g in gaps[:, k]]
+                phases = [mpmath.mpf(2.0 * theta) for theta in thetas[:, k]]
                 total = sum(c * mpmath.cos(sum(phases[i - 1:j - 1])) for i, j, c in spec.terms)
                 expected = float(abs(total) if spec.abs_mode else total)
             assert abs(values[k] - expected) <= 1e-14
-            point = _combination(spec, omega, gaps[:, k], derivatives=True)[0]
+            point = _combination(spec, thetas[:, k], derivatives=True)[0]
             assert abs(point - expected) <= 1e-14
 
     def test_broadcast_grid_matches_pointwise_values(self):
-        axis = np.linspace(0.1, 3.0, 5)
+        axis = np.linspace(0.13, 3.9, 5)
         mesh = (axis[:, None, None], axis[None, :, None], axis[None, None, :])
-        values = _combination(CUSTOM, 1.3, mesh)
+        values = _combination(CUSTOM, mesh)
         assert values.shape == (5, 5, 5)
         for idx in np.ndindex(values.shape):
-            point = _combination(CUSTOM, 1.3, axis[list(idx)], derivatives=True)[0]
+            point = _combination(CUSTOM, axis[list(idx)], derivatives=True)[0]
             assert values[idx] == pytest.approx(point, abs=1e-15)
 
 
@@ -243,7 +242,23 @@ class TestMaximize:
             params = DynamicsParams(omega)
             for name, spec in PRESETS.items():
                 report = maximize_violation(spec, params, ZERO)
-                assert abs(omega * report.argmax_spacing - OPTIMAL_SPACING[name]) <= 1e-13, (name, omega)
+                assert abs(omega * report.argmax_spacing - OPTIMAL_SPACING[name]) <= 4.5e-16, (name, omega)
+
+
+class TestPhaseInvariance:
+    # a combination depends on the times only through omega*t, so the optimal
+    # phases and the threshold are the same numbers at every omega
+    @pytest.mark.parametrize("omega", [1e-200, 1e-10, 1.0, 2.3, 1e10, 1e200, 1e300])
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_same_results_at_every_omega(self, name, omega):
+        spec, params = PRESETS[name], DynamicsParams(omega)
+        report = maximize_violation(spec, params, ZERO)
+        assert abs(omega * report.argmax_spacing - OPTIMAL_SPACING[name]) <= 4.5e-16
+        best, gaps = full_time_search(spec, params)
+        assert best == full_time_search(spec, P)[0]
+        for gap in gaps:
+            assert abs(omega * gap - OPTIMAL_SPACING[name]) <= 4.5e-16
+        assert epsilon_threshold(spec, params) == epsilon_threshold(spec, P)
 
 
 class TestFullSearch:
@@ -264,7 +279,7 @@ class TestFullSearch:
         best, gaps = full_time_search(spec, DynamicsParams(omega))
         expected = TWO_SQRT_TWO if spec is PAZ4 else 1.5
         assert abs(best - expected) <= 1e-13
-        _, grad, _ = _combination(spec, omega, np.array(gaps), derivatives=True)
+        _, grad, _ = _combination(spec, omega * np.array(gaps), derivatives=True)
         assert np.max(np.abs(grad)) <= 1e-12
         assert np.allclose(omega * np.array(gaps), OPTIMAL_SPACING[name], rtol=0.0, atol=1e-13)
 
