@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 validation/runtime failure, 2 config error.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -83,7 +84,10 @@ def _load_config_file(path: str) -> dict:
     return values
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process on first use and shared by
+    every call: callers must not modify it (``parse_args`` does not)."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="flat key=value settings file (flags win)")
     common.add_argument("--omega", type=float, help="angular frequency (default 1.0)")

@@ -182,7 +182,7 @@ def k_oracle_grid(
 
     The integrand jumps where a first-outcome probability crosses epsilon.
     A plain node-indicator rule would be O(eps / n_nodes) wrong near those
-    jumps, so the jump positions are located by bisection on the simulated
+    jumps, so the jump positions are located by k-section on the simulated
     pre-measurement probability, for all epsilons at once, and the phase
     quadrature is split at them.  Both schemes lay one reference rule on
     uniform cells and replace each cell that straddles a jump by the same
@@ -246,7 +246,8 @@ def _conditional_probabilities(lags: np.ndarray, params: DynamicsParams) -> np.n
     Indexed by (first, second) outcome in (+1, -1) order.  The first collapse
     leaves an eigenstate, which the lag rotates by ``omega * lag``.
     """
-    alpha = params.omega * lags
+    # reducing the lag keeps the angle accurate; fmod leaves |lag| < period as it is
+    alpha = params.omega * np.fmod(lags, params.period)
     ca2 = np.cos(alpha) ** 2
     sa2 = np.sin(alpha) ** 2
     return np.array([[ca2, sa2], [sa2, ca2]])
@@ -259,32 +260,45 @@ def _selection_jumps(epsilons: np.ndarray, t1: float, params: DynamicsParams) ->
     The extrema of p+- lie every quarter period from t1, and between two of
     them each probability runs monotonically between 0 and 1: for 0 < eps < 1
     it crosses eps exactly once per quarter, four times per outcome.  Each
-    crossing is found by 60 halvings of its quarter on the simulated
-    probability, which reach below one ulp.  At eps = 0 the threshold is
-    never crossed and there are no jumps.  At eps = 1 the selected set is
-    the float sliver around each maximum where p rounds to 1; every extremum
-    is the maximum of p+ or of p-, so the four extrema are the jumps, and a
+    crossing is located to 60 bits of its quarter on the simulated
+    probability, which reach below one ulp, in rounds of
+    ``b = max(1, floor(log2(256 / n_roots + 1)))`` bits for the
+    ``n_roots = 8 * len(epsilons)`` crossings: a round evaluates the
+    ``2**b - 1`` points that cut each bracket into ``2**b`` equal parts, at
+    most 256 in all or one per crossing.  One epsilon takes 12 rounds of 5
+    bits; 11 or more take 60 halvings.  At eps = 0 the threshold is never
+    crossed and there are no jumps.  At eps = 1 the selected set is the float
+    sliver around each maximum where p rounds to 1; every extremum is the
+    maximum of p+ or of p-, so the four extrema are the jumps, and a
     quadrature node cannot sit inside a sliver with a whole cell's weight.
     """
     quarter = params.period / 4
     extrema = t1 % quarter + quarter * np.arange(4)
-    lo = np.broadcast_to(extrema, (2, epsilons.size, 4))
-    eps = epsilons[:, None]
+    lo = np.broadcast_to(extrema[:, None], (2, epsilons.size, 4, 1))
 
-    def probabilities(phases: np.ndarray) -> np.ndarray:  # p_q; axes (q, epsilon, quarter)
-        p = _first_probabilities(phases, t1, params)
-        return np.array([p[0, 0], p[1, 1]])
+    # _first_probabilities, with row q evaluated for outcome q only
+    def probabilities(phases: np.ndarray) -> np.ndarray:  # p_q; axes (q, epsilon, quarter, point)
+        ang = params.omega * (t1 - phases)
+        cp2 = np.cos(ang) ** 2
+        cm2 = np.sin(ang) ** 2
+        return np.array((cp2[0], cm2[1])) / (cp2 + cm2)
 
     # a quarter starts at a maximum (sign 1) or a minimum (sign -1) of p_q;
-    # lo moves while p_q - eps keeps that sign, and the crossing stays in
-    # [lo, lo + 2 * step]
+    # lo moves past the leading points where sign * p_q > sign * eps, so
+    # after each round the crossing stays in [lo, lo + step]
     sign = np.where(probabilities(lo) > 0.5, 1.0, -1.0)
+    level = sign * epsilons[:, None, None]
+    # floor(log2(256 / n_roots + 1)) lies in 0..5, and 1..5 all divide 60
+    bits = max(1, (256 // (8 * epsilons.size) + 1).bit_length() - 1)
+    points = np.arange(1.0, 2 ** bits)
+    # the last column stays False, so argmin is the length of the leading run
+    ahead = np.zeros(lo.shape[:-1] + (2 ** bits,), dtype=bool)
     step = quarter
-    for _ in range(60):
-        step *= 0.5
-        mid = lo + step
-        lo = np.where((probabilities(mid) - eps) * sign > 0.0, mid, lo)
-    roots = np.sort(((lo + step) % params.period).transpose(1, 0, 2).reshape(-1, 8), axis=1)
+    for _ in range(60 // bits):
+        step *= 0.5 ** bits
+        np.greater(probabilities(lo + points * step) * sign, level, out=ahead[..., :-1])
+        lo = lo + ahead.argmin(axis=-1, keepdims=True) * step
+    roots = np.sort(((lo[..., 0] + step) % params.period).transpose(1, 0, 2).reshape(-1, 8), axis=1)
     return [row if 0.0 < e < 1.0 else extrema if e == 1.0 else row[:0]
             for e, row in zip(epsilons.tolist(), roots)]
 

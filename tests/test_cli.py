@@ -247,6 +247,20 @@ class TestCorrelate:
         row = dict(zip(header, map(float, row)))
         assert abs(row["k_oracle"] - row["k_selective"]) <= 1e-6
 
+    def test_huge_lag(self, capsys):
+        # the conditional probabilities are periodic in the lag
+        code, out, _ = run_cli(["correlate", "--t1", "0", "--t2", "1e300", "--epsilon", "0.3"],
+                               capsys)
+        assert code == 0
+        header, row = (line.split(",") for line in out.splitlines())
+        row = dict(zip(header, map(float, row)))
+        assert abs(row["k_oracle"] - row["k_selective"]) <= 1e-6
+
+    def test_huge_lag_grid_validates(self, capsys):
+        code, out, _ = run_cli(["validate", "--t-max", "1e300"], capsys)
+        assert code == 0
+        assert out.splitlines()[-1].startswith("PASS")
+
     def test_rejects_node_count_over_the_cap(self, capsys):
         code, out, err = run_cli(["correlate", "--t1", "0", "--t2", "1",
                                   "--nodes", "100000000000"], capsys)
@@ -257,6 +271,35 @@ class TestCorrelate:
     def test_requires_both_times(self, capsys):
         code, _, _ = run_cli(["correlate", "--t1", "0"], capsys)
         assert code == 2
+
+
+class TestParser:
+    ARGVS = [
+        ["correlate", "--t1", "1", "--t2", "2", "--epsilon", "0.4", "--select-both",
+         "--nodes", "64"],
+        ["threshold", "--preset", "paz4"],
+        ["trajectory", "--times", "0,1", "--outcomes=+1,-1"],
+        ["correlate", "--t1", "0", "--t2", "1"],
+    ]
+
+    def test_shared_parser_keeps_no_values_between_parses(self):
+        shared = cli.build_parser()
+        assert cli.build_parser() is shared
+        for argv in self.ARGVS:
+            args = shared.parse_args(argv)
+            fresh = cli.build_parser.__wrapped__().parse_args(argv)
+            assert vars(args) == vars(fresh)
+            assert cli._resolve(args) == cli._resolve(fresh)
+        assert cli._resolve(args) == {"t1": 0.0, "t2": 1.0}
+
+    def test_repeated_main_calls_print_the_same_bytes(self, capsys):
+        outputs = []
+        for argv in self.ARGVS + self.ARGVS[:1]:
+            code, out, _ = run_cli(argv, capsys)
+            assert code == 0
+            outputs.append(out)
+        assert outputs[-1] == outputs[0]
+        assert run_cli(self.ARGVS[-1], capsys)[1] == outputs[-2]
 
 
 class TestTrajectory:

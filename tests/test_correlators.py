@@ -173,10 +173,16 @@ class TestOracle:
         extreme = [1e-300, 1e-10, 1e-7, 1.0 - 1e-7, 1.0 - 1e-10]
         eps_grid = np.concatenate([np.linspace(0.03, 0.97, 24), extreme])
         lags = np.linspace(0.0, 3.0, 7)
+        # the rounds take 5, 4, 3, 2 and 1 bits at batches of 1, 2, 3, 5 and 29
+        batches = [[eps] for eps in eps_grid] + [eps_grid[:2], eps_grid[10:13], eps_grid[-5:],
+                                                 eps_grid]
         for start in (t1, 3 * quarter, 3 * quarter - 1e-15, -3.1):
-            jumps = _selection_jumps(eps_grid, start, params)
-            assert len(jumps) == eps_grid.size
-            for eps, found in zip(eps_grid, jumps):
+            found_grid = []
+            for batch in batches:
+                jumps = _selection_jumps(np.array(batch), start, params)
+                assert len(jumps) == len(batch)
+                found_grid += zip(batch, jumps)
+            for eps, found in found_grid:
                 tol = 1e-9 if eps in extreme else 1e-12
                 assert np.all((found >= 0.0) & (found < period))
                 p_plus = _first_probabilities(found, start, params)[0]
