@@ -263,6 +263,18 @@ def _time_axis(cfg: dict, params: DynamicsParams) -> tuple[str, float]:
     return "omega_t", 1.0 / params.omega
 
 
+def _physical_times(scale: float, times: dict[str, float]) -> list[float]:
+    """The named times in physical units; each, and the span between any two
+    before and after the scale, must be finite."""
+    for name, t in times.items():
+        if not math.isfinite(t * scale):
+            raise ConfigError(f"{name} must be finite after the omega scale, got {t!r}")
+    lo, hi = min(times, key=times.get), max(times, key=times.get)
+    if not all(math.isfinite(times[hi] * s - times[lo] * s) for s in (1.0, scale)):
+        raise ConfigError(f"the span from {lo} to {hi} is not finite")
+    return [t * scale for t in times.values()]
+
+
 def cmd_fig1(cfg: dict) -> int:
     params = _effective_params(cfg)
     name, spec = _spec_from_config(cfg, default="santos-minus")
@@ -306,29 +318,24 @@ def cmd_validate(cfg: dict) -> int:
                      cfg.get("eps_steps", 21), "epsilon grid")
     if np.any((eps_grid < 0) | (eps_grid > 1)):
         raise ConfigError("epsilon grid must stay inside [0, 1]")
-    axis = _grid(cfg.get("t_min", 0.0), cfg.get("t_max", math.pi),
-                 cfg.get("t_steps", 64), "lag grid")
     _, scale = _time_axis(cfg, params)
-    lags = axis * scale
+    t_min, t_max = cfg.get("t_min", 0.0), cfg.get("t_max", math.pi)
+    _physical_times(scale, {"t_min": t_min, "t_max": t_max})
+    lags = _grid(t_min, t_max, cfg.get("t_steps", 64), "lag grid") * scale
     select_both = bool(cfg.get("select_both", False))
 
     oracle = correlators.k_oracle_grid(0.0, lags, eps_grid, params, quad,
                                        select_both=select_both)
-    analytic = np.empty_like(oracle)
     free = np.array([correlators.k_analytic(0.0, lag, params) for lag in lags])
-    for i, eps in enumerate(eps_grid):
-        analytic[i] = correlators.selection_factor(SelectionPolicy(eps)) * free
+    factors = [correlators.selection_factor(SelectionPolicy(eps)) for eps in eps_grid.tolist()]
+    analytic = np.array(factors)[:, None] * free
     deviation = np.abs(oracle - analytic)
-    worst_flat = int(np.argmax(deviation))
-    worst_e, worst_l = np.unravel_index(worst_flat, deviation.shape)
+    worst_e, worst_l = np.unravel_index(int(np.argmax(deviation)), deviation.shape)
     max_dev = float(deviation[worst_e, worst_l])
 
     if cfg.get("out") is not None:
-        rows = []
-        for i in range(eps_grid.size):
-            for j in range(lags.size):
-                rows.append((eps_grid[i], params.omega * lags[j],
-                             oracle[i, j], analytic[i, j], deviation[i, j]))
+        rows = [(eps_grid[i], params.omega * lags[j], oracle[i, j], analytic[i, j], deviation[i, j])
+                for i in range(eps_grid.size) for j in range(lags.size)]
         _emit_table(cfg, ["epsilon", "omega_lag", "k_oracle", "k_selective", "deviation"], rows)
 
     passed = max_dev <= VALIDATE_TOLERANCE
@@ -376,8 +383,7 @@ def cmd_correlate(cfg: dict) -> int:
     if cfg.get("t1") is None or cfg.get("t2") is None:
         raise ConfigError("correlate needs --t1 and --t2")
     _, scale = _time_axis(cfg, params)
-    t1 = cfg["t1"] * scale
-    t2 = cfg["t2"] * scale
+    t1, t2 = _physical_times(scale, {"t1": cfg["t1"], "t2": cfg["t2"]})
     policy = _policy(cfg)
     quad = _quadrature(cfg)
     req = correlators.CorrelationRequest(t1, t2, params, policy)
@@ -415,13 +421,11 @@ def cmd_trajectory(cfg: dict) -> int:
         raw_times = tuple(float(tok) for tok in str(cfg["times"]).split(","))
     except ValueError:
         raise ConfigError(f"bad --times value {cfg['times']!r}") from None
-    if not all(math.isfinite(t) for t in raw_times):
-        raise ConfigError(f"times must be finite, got {cfg['times']!r}")
     outcomes = _parse_outcomes(str(cfg["outcomes"]))
-    phase = InitialPhase(cfg.get("phase", 0.0) * scale)
+    named = {f"times[{i}]": t for i, t in enumerate(raw_times)}
+    t_prime, *times = _physical_times(scale, {"phase": cfg.get("phase", 0.0), **named})
     try:
-        records, final_state = measured_trajectory(
-            phase, tuple(t * scale for t in raw_times), outcomes, params)
+        records, final_state = measured_trajectory(InitialPhase(t_prime), times, outcomes, params)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     rows = [

@@ -77,7 +77,7 @@ class QuadratureConfig:
 
     ``uniform-midpoint`` uses ``n_nodes`` cells of one node each;
     ``gauss-legendre`` uses ``n_nodes // 16`` cells of 16 nodes each.  At
-    about 80 B per node, the cap of 10^7 bounds the oracle's peak near 0.8 GB.
+    about 56 B per node, the cap of 10^7 bounds the oracle's peak near 0.56 GB.
     """
 
     n_nodes: int = DEFAULT_NODES
@@ -137,17 +137,9 @@ def disturbance(phase: InitialPhase, t1: float, outcome: int, params: DynamicsPa
 
 
 def k_oracle(req: CorrelationRequest, quad: QuadratureConfig | None = None) -> float:
-    """Brute-force selective correlator for a single time pair.
-
-    See ``k_oracle_grid`` for the algorithm; this is the one-cell wrapper.
-    """
-    grid = k_oracle_grid(
-        req.t1,
-        np.array([req.t2 - req.t1]),
-        np.array([req.policy.epsilon]),
-        req.params,
-        quad=quad,
-    )
+    """Brute-force selective correlator for a single time pair: the one-cell
+    ``k_oracle_grid``, which describes the algorithm."""
+    grid = k_oracle_grid(req.t1, [req.t2 - req.t1], [req.policy.epsilon], req.params, quad)
     return float(grid[0, 0])
 
 
@@ -183,14 +175,26 @@ def k_oracle_grid(
     The integrand jumps where a first-outcome probability crosses epsilon.
     A plain node-indicator rule would be O(eps / n_nodes) wrong near those
     jumps, so the jump positions are located by k-section on the simulated
-    pre-measurement probability, for all epsilons at once, and the phase
-    quadrature is split at them.  Both schemes lay one reference rule on
-    uniform cells and replace each cell that straddles a jump by the same
-    rule on each of its smooth pieces: the midpoint rule (one node) on
-    ``n_nodes`` cells, or the 16-point Gauss-Legendre rule on
-    ``n_nodes // 16`` cells.  This keeps the quadrature deterministic while
-    pushing the error down to the smooth-piece level (~1e-8 for midpoint at
-    the default node count).
+    pre-measurement probability, and the phase quadrature is split at them.
+    Both schemes lay one reference rule on uniform cells and replace each
+    cell that straddles a jump by the same rule on each of its smooth pieces:
+    the midpoint rule (one node) on ``n_nodes`` cells, or the 16-point
+    Gauss-Legendre rule on ``n_nodes // 16`` cells.  This keeps the
+    quadrature deterministic while pushing the error down to the
+    smooth-piece level (~1e-8 for midpoint at the default node count).
+
+    The probabilities on the uniform cells are computed once, and each
+    epsilon costs one masked sum over them; the rest works on all epsilons at
+    once.  The jumps form an (E, 8) array of sorted rows: the eight crossings,
+    or at eps = 1 the four extrema, each twice; rows at eps = 0 have no jumps
+    and are masked out.  The straddled cells' masked sums are subtracted, and
+    the sums over their pieces (one ending and one starting at each jump)
+    added, as (E, 16, nodes per cell) arrays, in blocks of epsilons whose
+    pieces hold at most ``n_nodes / 4`` nodes; a piece no wider than roundoff,
+    or of a masked row, gets zero weight.  The lag expansion is one
+    broadcast, through an (E, 2, 2, L) mask only with ``select_both``.  Time
+    is O(E * (n_nodes + L)) and memory O(n_nodes + E * L), with a traced peak
+    of about 56 B per node.
 
     Returns an array of shape ``(len(epsilons), len(lags))``; each row
     depends on its own epsilon only.
@@ -206,22 +210,13 @@ def k_oracle_grid(
     if np.any((epsilons < 0.0) | (epsilons > 1.0)):
         raise ValueError("epsilons must lie in [0, 1]")
     # the phase average is periodic in t1; reducing it keeps omega * (t1 - phase) accurate
-    t1 = math.remainder(t1, params.period)
-
-    if quad.scheme == "uniform-midpoint":
-        reference = np.zeros(1), np.full(1, 2.0)
-    else:
-        reference = np.polynomial.legendre.leggauss(_GAUSS_ORDER)
-    phase_rule = _phase_rule(t1, params, quad.n_nodes, *reference)
+    i_plus, i_minus = _phase_integrals(epsilons, math.remainder(t1, params.period), params,
+                                       quad)[..., None]
     cond = _conditional_probabilities(lags, params)
-    jumps = _selection_jumps(epsilons, t1, params)
-    rows = np.empty((epsilons.size, lags.size))
-    for row, eps, eps_jumps in zip(rows, epsilons, jumps):
-        p1, weights = phase_rule(eps_jumps)
-        i_plus, i_minus = (np.where(p1 >= eps, p1, 0.0) * weights).sum(axis=1)
-        # without select_both the mask is all true: probabilities are >= 0
-        c = np.where(cond >= (eps if select_both else 0.0), cond, 0.0)
-        row[:] = i_plus * (c[0, 0] - c[0, 1]) - i_minus * (c[1, 0] - c[1, 1])
+    if select_both:
+        cond = np.where(cond >= epsilons[:, None, None, None], cond, 0.0)
+    rows = i_plus * (cond[..., 0, 0, :] - cond[..., 0, 1, :])
+    rows -= i_minus * (cond[..., 1, 0, :] - cond[..., 1, 1, :])
     return rows
 
 
@@ -232,12 +227,56 @@ def _first_probabilities(phases: np.ndarray, t1: float, params: DynamicsParams) 
     """Born probabilities at t1 of a system in ``|+>`` at each phase anchor.
 
     Mirrors ``initial_state`` and ``born_probability`` for an array of
-    anchors.  Returns shape (2, m), outcomes in (+1, -1) order.
+    anchors.  Returns shape ``(2,) + phases.shape``, outcomes in (+1, -1) order.
     """
     ang = params.omega * (t1 - np.asarray(phases, dtype=float))
     cp2 = np.cos(ang) ** 2
     cm2 = np.sin(ang) ** 2
-    return np.array([cp2, cm2]) / (cp2 + cm2)
+    p = np.array([cp2, cm2])
+    p /= cp2 + cm2  # in place: one (2, m) array fewer at the peak
+    return p
+
+
+def _phase_integrals(epsilons: np.ndarray, t1: float, params: DynamicsParams,
+                     quad: QuadratureConfig) -> np.ndarray:
+    """The phase integrals ``I_q(eps)`` of ``k_oracle_grid``, shape (2, E)."""
+    if quad.scheme == "uniform-midpoint":
+        ref_nodes, ref_weights = np.zeros(1), np.full(1, 2.0)
+    else:
+        ref_nodes, ref_weights = np.polynomial.legendre.leggauss(_GAUSS_ORDER)
+    period = params.period
+    n_cells = quad.n_nodes // ref_nodes.size
+    h = period / n_cells
+    # uniform cells, axes (outcome, cell, node); weights are fractions of the period
+    p1 = _first_probabilities(((np.arange(n_cells) + 0.5) * h)[:, None] + (0.5 * h) * ref_nodes,
+                              t1, params)
+    f = p1 * ((0.5 * h) * ref_weights / period)
+    p1_flat, f_flat = p1.reshape(2, -1), f.reshape(2, -1)
+    integrals = np.array([np.where(p1_flat >= e, f_flat, 0.0).sum(axis=1)
+                          for e in epsilons.tolist()]).T
+
+    all_jumps, all_crossed = _selection_jumps(epsilons, t1, params)
+    # blocks of epsilons whose pieces (16 cells' worth each) hold at most n_nodes / 4 nodes
+    size = max(1, n_cells // 64)
+    for start in range(0, epsilons.size, size):
+        part = slice(start, start + size)
+        jumps, crossed, level = all_jumps[part], all_crossed[part, None], epsilons[part, None, None]
+        cells = np.minimum((jumps / h).astype(int), n_cells - 1)
+        first = np.diff(cells, axis=1, prepend=-1) != 0
+        last = np.diff(cells, axis=1, append=n_cells) != 0
+        # the pieces stand in for the straddled cells, each subtracted once
+        straddled = np.where(p1[:, cells] >= level, f[:, cells], 0.0).sum(axis=-1)
+        integrals[:, part] -= np.where(first & crossed, straddled, 0.0).sum(axis=-1)
+        # a cell's pieces run from its left edge through its jumps to its right edge:
+        # one piece ends at each jump, and one starts at each jump that is last in its cell
+        lo = np.concatenate([np.where(first, cells * h, np.roll(jumps, 1, axis=1)), jumps], axis=1)
+        hi = np.concatenate([jumps, np.where(last, (cells + 1) * h, jumps)], axis=1)
+        half = np.where((hi - lo > period * 1e-15) & crossed, 0.5 * (hi - lo), 0.0)
+        p1_sub = _first_probabilities((0.5 * (lo + hi))[..., None] + half[..., None] * ref_nodes,
+                                         t1, params)
+        weights = half[..., None] * ref_weights / period
+        integrals[:, part] += (np.where(p1_sub >= level, p1_sub, 0.0) * weights).sum(axis=(2, 3))
+    return integrals
 
 
 def _conditional_probabilities(lags: np.ndarray, params: DynamicsParams) -> np.ndarray:
@@ -253,9 +292,11 @@ def _conditional_probabilities(lags: np.ndarray, params: DynamicsParams) -> np.n
     return np.array([[ca2, sa2], [sa2, ca2]])
 
 
-def _selection_jumps(epsilons: np.ndarray, t1: float, params: DynamicsParams) -> list[np.ndarray]:
-    """Sorted phases in [0, period) where a first-outcome probability crosses
-    each epsilon.
+def _selection_jumps(epsilons: np.ndarray, t1: float,
+                     params: DynamicsParams) -> tuple[np.ndarray, np.ndarray]:
+    """Phases in [0, period) where a first-outcome probability crosses each
+    epsilon: an (E, 8) array, each row sorted, and an (E,) mask that is False
+    where the row holds no jump.
 
     The extrema of p+- lie every quarter period from t1, and between two of
     them each probability runs monotonically between 0 and 1: for 0 < eps < 1
@@ -266,11 +307,13 @@ def _selection_jumps(epsilons: np.ndarray, t1: float, params: DynamicsParams) ->
     ``n_roots = 8 * len(epsilons)`` crossings: a round evaluates the
     ``2**b - 1`` points that cut each bracket into ``2**b`` equal parts, at
     most 256 in all or one per crossing.  One epsilon takes 12 rounds of 5
-    bits; 11 or more take 60 halvings.  At eps = 0 the threshold is never
-    crossed and there are no jumps.  At eps = 1 the selected set is the float
-    sliver around each maximum where p rounds to 1; every extremum is the
-    maximum of p+ or of p-, so the four extrema are the jumps, and a
+    bits; 11 or more take 60 halvings.  At eps = 1 the selected set is the
+    float sliver around each maximum where p rounds to 1; every extremum is
+    the maximum of p+ or of p-, so the four extrema are the jumps, and a
     quadrature node cannot sit inside a sliver with a whole cell's weight.
+    The eps = 1 row lists each extremum twice, so every other piece between
+    its jumps has zero width.  At eps = 0 the threshold is never crossed: the row
+    repeats the eps = 1 one and the mask marks it empty.
     """
     quarter = params.period / 4
     extrema = t1 % quarter + quarter * np.arange(4)
@@ -299,54 +342,5 @@ def _selection_jumps(epsilons: np.ndarray, t1: float, params: DynamicsParams) ->
         np.greater(probabilities(lo + points * step) * sign, level, out=ahead[..., :-1])
         lo = lo + ahead.argmin(axis=-1, keepdims=True) * step
     roots = np.sort(((lo[..., 0] + step) % params.period).transpose(1, 0, 2).reshape(-1, 8), axis=1)
-    return [row if 0.0 < e < 1.0 else extrema if e == 1.0 else row[:0]
-            for e, row in zip(epsilons.tolist(), roots)]
-
-
-def _piece_nodes(lo: np.ndarray, hi: np.ndarray, ref_nodes: np.ndarray, ref_weights: np.ndarray,
-                 t1: float, params: DynamicsParams) -> tuple[np.ndarray, np.ndarray]:
-    """First-outcome probabilities and weights of a reference rule on [-1, 1]
-    mapped onto each piece [lo, hi].
-
-    Pieces no wider than roundoff are dropped.  Weights are fractions of the
-    phase period.
-    """
-    keep = hi - lo > params.period * 1e-15
-    lo, hi = lo[keep], hi[keep]
-    half = 0.5 * (hi - lo)
-    phases = 0.5 * (lo + hi)[:, None] + half[:, None] * ref_nodes
-    weights = half[:, None] * ref_weights / params.period
-    return _first_probabilities(phases.ravel(), t1, params), weights.ravel()
-
-
-def _phase_rule(t1: float, params: DynamicsParams, n_nodes: int,
-                ref_nodes: np.ndarray, ref_weights: np.ndarray):
-    """Phase rule: a reference rule on [-1, 1] laid on ``n_nodes // len(ref_nodes)``
-    uniform cells, with each cell that straddles a jump replaced by the same
-    rule on each of its smooth pieces.
-
-    Returns a function of the sorted jumps giving ``(p1, weights)``; the
-    first-outcome probabilities on the uniform cells are computed once.
-    """
-    period = params.period
-    n_cells = n_nodes // ref_nodes.size
-    h = period / n_cells
-    phases = ((np.arange(n_cells) + 0.5) * h)[:, None] + (0.5 * h) * ref_nodes
-    p1_cells = _first_probabilities(phases.ravel(), t1, params)
-    w_cells = np.tile((0.5 * h) * ref_weights / period, (n_cells, 1))
-
-    def rule(jumps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        cells = np.minimum((jumps / h).astype(int), n_cells - 1)
-        first = np.ones(cells.size, dtype=bool)
-        first[1:] = cells[1:] != cells[:-1]
-        last = np.ones(cells.size, dtype=bool)
-        last[:-1] = first[1:]
-        # a cell's pieces run from its left edge through its jumps to its right edge
-        lo = np.concatenate([np.where(first, cells * h, np.roll(jumps, 1)), jumps[last]])
-        hi = np.concatenate([jumps, (cells[last] + 1) * h])
-        p1_sub, w_sub = _piece_nodes(lo, hi, ref_nodes, ref_weights, t1, params)
-        weights = w_cells.copy()
-        weights[cells] = 0.0  # the pieces stand in for these cells
-        return np.concatenate([p1_cells, p1_sub], axis=1), np.concatenate([weights.ravel(), w_sub])
-
-    return rule
+    inside = ((epsilons > 0.0) & (epsilons < 1.0))[:, None]
+    return np.where(inside, roots, np.repeat(extrema, 2)), epsilons > 0.0

@@ -103,14 +103,16 @@ def initial_state(phase: InitialPhase, t0: float, params: DynamicsParams) -> Two
     """State at time t0 of a system that was in ``|+>`` at ``phase.t_prime``.
 
     Amplitudes are ``(cos(omega*(t0 - t')), sin(omega*(t0 - t')))``; unit norm.
+    ``t0 - t'`` is reduced modulo the period first, as in ``propagate``.
     """
-    angle = params.omega * (t0 - phase.t_prime)
+    angle = params.omega * math.fmod(t0 - phase.t_prime, params.period)
     return TwoLevelState(complex(math.cos(angle)), complex(math.sin(angle)))
 
 
 def propagate(state: TwoLevelState, dt: float, params: DynamicsParams) -> TwoLevelState:
-    """Free evolution by dt (negative dt gives the inverse rotation)."""
-    a = params.omega * dt
+    """Free evolution by dt (negative dt gives the inverse rotation), with dt
+    reduced modulo the period first; ``math.fmod`` leaves |dt| < period as it is."""
+    a = params.omega * math.fmod(dt, params.period)
     c, s = math.cos(a), math.sin(a)
     return TwoLevelState(c * state.c_plus - s * state.c_minus,
                          s * state.c_plus + c * state.c_minus)

@@ -337,6 +337,18 @@ class TestTrajectory:
         assert code == 2
         assert "ascending" in err
 
+    @pytest.mark.parametrize("flags", [[], ["--omega", "2.3", "--physical-time"]])
+    def test_huge_time_gives_the_records_of_its_remainder(self, flags, capsys):
+        # the elapsed time is reduced modulo the period; only the time column differs
+        remainder = math.fmod(1e300, DynamicsParams(2.3 if flags else 1.0).period)
+        argv = ["trajectory", *flags, "--outcomes", "+1,-1", "--times"]
+        printed = [run_cli(argv + [times], capsys) for times in ("0,1e300", f"0,{remainder!r}")]
+        assert [code for code, _, _ in printed] == [0, 0]
+        huge, reduced = ([line.split(",")[2:] if "," in line else line for line in out.splitlines()]
+                         for _, out, _ in printed)
+        assert huge == reduced
+        assert 0.0 < float(huge[2][1]) < 1.0
+
 
 class TestConfigHandling:
     def test_config_file_supplies_values(self, tmp_path, capsys):
@@ -432,6 +444,29 @@ class TestConfigHandling:
         assert code == 2
         assert out == ""
         assert "omega" in err
+
+
+class TestTimeRange:
+    @pytest.mark.parametrize("argv, setting", [
+        (["correlate", "--t1=-1.7e308", "--t2=1.7e308", "--epsilon", "0.3"], "t1 to t2"),
+        (["correlate", "--omega", "1e-300", "--t1", "0", "--t2", "1e10"], "t2 "),
+        (["validate", "--t-min=-1.7e308", "--t-max=1.7e308", "--t-steps", "3"], "t_min to t_max"),
+        (["validate", "--omega", "2", "--t-min=-1.7e308", "--t-max=1.7e308"], "t_min to t_max"),
+        (["validate", "--omega", "1e-300", "--t-max", "1e10"], "t_max "),
+        (["trajectory", "--omega", "1e-300", "--times", "0,1e10", "--outcomes", "+1,+1"],
+         "times[1] "),
+        (["trajectory", "--phase=-1.7e308", "--times", "0,1.7e308", "--outcomes", "+1,+1"],
+         "phase to times[1]"),
+    ])
+    def test_rejects_times_out_of_range(self, argv, setting, capfd):
+        # each time after the omega scale, and each span between two, must be finite
+        code = cli.main(argv)
+        out, err = capfd.readouterr()
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ") and setting in err
+        assert "Warning" not in err
 
 
 class TestOutputContract:

@@ -179,7 +179,7 @@ class TestOracle:
         for start in (t1, 3 * quarter, 3 * quarter - 1e-15, -3.1):
             found_grid = []
             for batch in batches:
-                jumps = _selection_jumps(np.array(batch), start, params)
+                jumps, _ = _selection_jumps(np.array(batch), start, params)
                 assert len(jumps) == len(batch)
                 found_grid += zip(batch, jumps)
             for eps, found in found_grid:
@@ -206,9 +206,9 @@ class TestOracle:
             # jumps, and at eps = 1 the extrema are, each a maximum of p+ or
             # p-; the rows match the closed form A(eps) * cos(2 omega lag)
             # with A = 1 and 0
-            none, extrema = _selection_jumps(np.array([0.0, 1.0]), start, params)
-            assert none.size == 0
-            assert np.array_equal(extrema, start % quarter + quarter * np.arange(4))
+            (_, extrema), crossed = _selection_jumps(np.array([0.0, 1.0]), start, params)
+            assert crossed.tolist() == [False, True]
+            assert np.array_equal(extrema, np.repeat(start % quarter + quarter * np.arange(4), 2))
             rows = k_oracle_grid(start, lags, np.array([0.0, 1.0]), params, QuadratureConfig(1000))
             assert np.max(np.abs(rows[0] - np.cos(2.0 * omega * lags))) <= 1e-12
             assert np.max(np.abs(rows[1])) <= 1e-12
@@ -223,6 +223,30 @@ class TestOracle:
         for i, eps in enumerate(eps_grid):
             alone = k_oracle_grid(0.4, lags, np.array([eps]), P, quad, select_both=select_both)
             assert np.max(np.abs(grid[i] - alone[0])) <= 1e-15
+
+    @pytest.mark.parametrize("scheme", ["uniform-midpoint", "gauss-legendre"])
+    @pytest.mark.parametrize("select_both", [False, True])
+    def test_permuting_epsilons_permutes_rows(self, scheme, select_both):
+        # duplicates, and the eps = 0 and 1 rows, which hold no crossings
+        eps_grid = np.array([0.3, 0.0, 1.0, 0.3, 0.7, 1.0, 0.0, 0.5, 0.3, 1e-9, 0.7])
+        lags = np.linspace(0.0, 3.0, 7)
+        quad = QuadratureConfig(1000, scheme)
+        grid = k_oracle_grid(0.4, lags, eps_grid, P, quad, select_both=select_both)
+        for seed in range(3):
+            order = np.random.default_rng(seed).permutation(eps_grid.size)
+            permuted = k_oracle_grid(0.4, lags, eps_grid[order], P, quad, select_both=select_both)
+            assert np.array_equal(permuted, grid[order])
+
+    def test_memory_does_not_scale_with_epsilons_times_nodes(self):
+        # one (epsilons, nodes) float array would take 320 MB here
+        lags = np.linspace(0.0, math.pi, 4)
+        tracemalloc.start()
+        try:
+            k_oracle_grid(0.0, lags, np.linspace(0.0, 1.0, 4001), P, QuadratureConfig(10_000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
 
     def test_memory_does_not_scale_with_nodes_times_lags(self):
         # a (2, 2, nodes, lags) float tableau would take 328 MB here

@@ -279,3 +279,19 @@ def test_phase_anchor_is_periodic():
         assert abs(s0.c_minus - s1.c_minus) <= KERNEL_TOL
         _, final = measured_trajectory(moved, times, outcomes, P)
         assert abs(final.norm_sq() - reference.norm_sq()) <= KERNEL_TOL
+
+
+def test_elapsed_time_is_reduced_modulo_the_period():
+    # fmod leaves |dt| < period bit for bit, and a huge dt becomes its remainder
+    params = DynamicsParams(2.3)
+    state = TwoLevelState(0.6 + 0j, 0.8j)
+    for dt in (0.0, 0.4, -2.0, -0.999 * params.period, 0.999 * params.period):
+        c, s = math.cos(params.omega * dt), math.sin(params.omega * dt)
+        assert propagate(state, dt, params) == TwoLevelState(c * state.c_plus - s * state.c_minus,
+                                                             s * state.c_plus + c * state.c_minus)
+        anchored = initial_state(InitialPhase(-dt), 0.0, params)
+        assert anchored == TwoLevelState(complex(c), complex(s))
+    remainder = math.fmod(1e300, params.period)
+    assert propagate(state, 1e300, params) == propagate(state, remainder, params)
+    assert (initial_state(InitialPhase(-1e300), 1e300, params)
+            == initial_state(InitialPhase(0.0), math.fmod(2e300, params.period), params))
