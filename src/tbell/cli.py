@@ -25,6 +25,10 @@ from .dynamics import DynamicsParams, InitialPhase, measured_trajectory, traject
 
 VALIDATE_TOLERANCE = 1e-6
 
+# Most points on one grid axis, and cells in one validate (epsilon, lag)
+# table: 8 MB per float array of the table.
+MAX_GRID_POINTS = 1_000_000
+
 _FLOAT_KEYS = frozenset({
     "omega", "rabi", "epsilon", "eps_min", "eps_max", "t_min", "t_max",
     "t1", "t2", "phase", "custom_bound",
@@ -173,9 +177,11 @@ def _effective_params(cfg: dict) -> DynamicsParams:
         raise ConfigError(str(exc)) from None
 
 
-def _grid(lo: float, hi: float, steps: int, what: str) -> np.ndarray:
+def _grid(lo: float, hi: float, steps: int, setting: str) -> np.ndarray:
+    if steps > MAX_GRID_POINTS:
+        raise ConfigError(f"{setting} must be at most {MAX_GRID_POINTS}, got {steps}")
     if steps < 1 or (steps == 1 and lo != hi):
-        raise ConfigError(f"{what}: need at least 2 grid points (or min == max with 1)")
+        raise ConfigError(f"{setting}: need at least 2 grid points (or min == max with 1)")
     if steps == 1:
         return np.array([lo])
     return np.linspace(lo, hi, steps)
@@ -195,9 +201,12 @@ def _spec_from_config(cfg: dict, default: str | None = None) -> tuple[str, inequ
     terms = []
     for chunk in str(cfg["custom_terms"]).split(";"):
         parts = [p.strip() for p in chunk.split(",")]
-        if len(parts) != 3:
-            raise ConfigError(f"bad custom term {chunk!r}; expected i,j,coefficient")
-        terms.append((int(parts[0]), int(parts[1]), float(parts[2])))
+        try:
+            i, j, coeff = parts
+            terms.append((int(i), int(j), float(coeff)))
+        except ValueError:
+            raise ConfigError(f"bad value for 'custom_terms': {chunk!r}; "
+                              "expected i,j,coefficient") from None
     try:
         spec = inequalities.InequalitySpec(
             n_times=int(cfg["custom_n_times"]),
@@ -282,7 +291,7 @@ def cmd_fig1(cfg: dict) -> int:
         raise ConfigError("fig1 draws the santos-minus combination; pass that preset")
     axis_name, scale = _time_axis(cfg, params)
     axis = _grid(cfg.get("t_min", 0.0), cfg.get("t_max", 4.0 * math.pi),
-                 cfg.get("t_steps", 1025), "t grid")
+                 cfg.get("t_steps", 1025), "t_steps")
     spacing = axis * scale
     q_free = np.cos(2.0 * (params.omega * spacing))
     curve = inequalities.stationary_curve(spec, spacing, params, SelectionPolicy(0.0))
@@ -294,7 +303,7 @@ def cmd_fig1(cfg: dict) -> int:
 def cmd_fig2(cfg: dict) -> int:
     params = _effective_params(cfg)
     eps_grid = _grid(cfg.get("eps_min", 0.0), cfg.get("eps_max", 1.0),
-                     cfg.get("eps_steps", 101), "epsilon grid")
+                     cfg.get("eps_steps", 101), "eps_steps")
     if np.any((eps_grid < 0) | (eps_grid > 1)):
         raise ConfigError("epsilon grid must stay inside [0, 1]")
     maxima = []
@@ -315,13 +324,16 @@ def cmd_validate(cfg: dict) -> int:
     params = _effective_params(cfg)
     quad = _quadrature(cfg)
     eps_grid = _grid(cfg.get("eps_min", 0.0), cfg.get("eps_max", 1.0),
-                     cfg.get("eps_steps", 21), "epsilon grid")
+                     cfg.get("eps_steps", 21), "eps_steps")
     if np.any((eps_grid < 0) | (eps_grid > 1)):
         raise ConfigError("epsilon grid must stay inside [0, 1]")
     _, scale = _time_axis(cfg, params)
     t_min, t_max = cfg.get("t_min", 0.0), cfg.get("t_max", math.pi)
     _physical_times(scale, {"t_min": t_min, "t_max": t_max})
-    lags = _grid(t_min, t_max, cfg.get("t_steps", 64), "lag grid") * scale
+    lags = _grid(t_min, t_max, cfg.get("t_steps", 64), "t_steps") * scale
+    if eps_grid.size * lags.size > MAX_GRID_POINTS:
+        raise ConfigError(f"eps_steps x t_steps must be at most {MAX_GRID_POINTS} cells, "
+                          f"got {eps_grid.size} x {lags.size}")
     select_both = bool(cfg.get("select_both", False))
 
     oracle = correlators.k_oracle_grid(0.0, lags, eps_grid, params, quad,
@@ -351,11 +363,7 @@ def cmd_threshold(cfg: dict) -> int:
     params = _effective_params(cfg)
     name, spec = _spec_from_config(cfg)
     report = inequalities.maximize_violation(spec, params, _policy(cfg))
-    try:
-        eps_star = inequalities.threshold_from_maximum(spec, report.delta_k_max)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
+    eps_star = inequalities.threshold_from_maximum(spec, report.delta_k_max)
     a_star = correlators.selection_factor(SelectionPolicy(eps_star))
     argmax_wt = params.omega * report.argmax_spacing
     print(f"preset: {name}")
@@ -454,10 +462,10 @@ def main(argv=None) -> int:
     try:
         cfg = _resolve(args)
         return _COMMANDS[args.command](cfg)
-    except (ConfigError, ValueError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, FloatingPointError) as exc:
+    except (ValueError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -22,6 +22,7 @@ with no extra constant.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -230,20 +231,29 @@ def _first_probabilities(phases: np.ndarray, t1: float, params: DynamicsParams) 
     anchors.  Returns shape ``(2,) + phases.shape``, outcomes in (+1, -1) order.
     """
     ang = params.omega * (t1 - np.asarray(phases, dtype=float))
-    cp2 = np.cos(ang) ** 2
-    cm2 = np.sin(ang) ** 2
-    p = np.array([cp2, cm2])
-    p /= cp2 + cm2  # in place: one (2, m) array fewer at the peak
+    p = np.empty((2,) + ang.shape)
+    np.square(np.cos(ang, out=p[0]), out=p[0])
+    np.square(np.sin(ang, out=p[1]), out=p[1])
+    p /= np.add(p[0], p[1], out=ang)  # ang is spent; its buffer takes the norm
     return p
+
+
+@functools.cache
+def _reference_rule(scheme: str) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights on [-1, 1] of the rule laid on each cell, built once
+    per process and read-only."""
+    if scheme == "uniform-midpoint":
+        nodes, weights = np.zeros(1), np.full(1, 2.0)
+    else:
+        nodes, weights = np.polynomial.legendre.leggauss(_GAUSS_ORDER)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def _phase_integrals(epsilons: np.ndarray, t1: float, params: DynamicsParams,
                      quad: QuadratureConfig) -> np.ndarray:
     """The phase integrals ``I_q(eps)`` of ``k_oracle_grid``, shape (2, E)."""
-    if quad.scheme == "uniform-midpoint":
-        ref_nodes, ref_weights = np.zeros(1), np.full(1, 2.0)
-    else:
-        ref_nodes, ref_weights = np.polynomial.legendre.leggauss(_GAUSS_ORDER)
+    ref_nodes, ref_weights = _reference_rule(quad.scheme)
     period = params.period
     n_cells = quad.n_nodes // ref_nodes.size
     h = period / n_cells

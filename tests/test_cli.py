@@ -2,11 +2,12 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from tbell import cli
+from tbell import cli, inequalities
 from tbell.correlators import SelectionPolicy, selection_factor
 from tbell.dynamics import DynamicsParams
 
@@ -215,6 +216,57 @@ class TestThreshold:
         code, _, err = run_cli(["threshold", "--config", str(config)], capsys)
         assert code == 1
         assert "inequality never violated" in err
+
+    def test_calls_at_other_omegas_reuse_the_maxima(self, capsys):
+        inequalities._maximize.cache_clear()
+        outputs = []
+        for omega in ("1", "2.3"):
+            code, out, _ = run_cli(["threshold", "--preset", "paz4", "--omega", omega,
+                                    "--full-search"], capsys)
+            assert code == 0
+            outputs.append(out)
+        info = inequalities._maximize.cache_info()
+        assert (info.misses, info.hits) == (2, 2)
+        assert outputs[0].split("epsilon_star")[1] == outputs[1].split("epsilon_star")[1]
+
+    def test_custom_spec_equal_to_a_preset_shares_its_entry(self, tmp_path, capsys):
+        config = tmp_path / "paz4.cfg"
+        config.write_text(
+            "preset = custom\n"
+            "custom_n_times = 4\n"
+            "custom_terms = 1,2,1; 2,3,1; 3,4,1; 1,4,-1\n"
+            "custom_bound = 2\n"
+            "custom_abs = true\n"
+        )
+        inequalities._maximize.cache_clear()
+        code, preset_out, _ = run_cli(["threshold", "--preset", "paz4"], capsys)
+        assert code == 0
+        code, custom_out, _ = run_cli(["threshold", "--config", str(config)], capsys)
+        assert code == 0
+        info = inequalities._maximize.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert custom_out == preset_out.replace("preset: paz4", "preset: custom")
+
+    def test_bad_custom_term_names_the_setting(self, tmp_path, capsys):
+        config = tmp_path / "bad.cfg"
+        config.write_text("preset = custom\ncustom_n_times = 3\n"
+                          "custom_terms = x,2,1; 2,3,1\ncustom_bound = 1\n")
+        code, out, err = run_cli(["threshold", "--config", str(config)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: bad value for 'custom_terms': 'x,2,1'")
+
+    def test_solver_failure_exits_1_without_a_traceback(self, monkeypatch, capsys):
+        # a failure inside the numerics is not a config error
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        inequalities._maximize.cache_clear()
+        monkeypatch.setattr(np.linalg, "lstsq", failing)
+        code, out, err = run_cli(["threshold", "--preset", "santos-plus"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == "error: SVD did not converge\n"
 
     def test_custom_spec_requires_keys(self, tmp_path, capsys):
         config = tmp_path / "partial.cfg"
@@ -444,6 +496,28 @@ class TestConfigHandling:
         assert code == 2
         assert out == ""
         assert "omega" in err
+
+
+class TestGridSize:
+    @pytest.mark.parametrize("argv, setting", [
+        (["fig1", "--t-steps", "1000000000000"], "t_steps"),
+        (["fig2", "--eps-steps", "1000000000000"], "eps_steps"),
+        (["validate", "--t-steps", "1000000000000"], "t_steps"),
+        (["validate", "--eps-steps", "100000000", "--t-steps", "2"], "eps_steps"),
+        (["validate", "--eps-steps", "1001", "--t-steps", "1000"], "eps_steps x t_steps"),
+    ])
+    def test_rejects_grids_over_the_cap(self, argv, setting, capsys):
+        # rejected before any grid-sized array exists
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(argv, capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {setting} must be at most ")
+        assert peak <= 2**20
 
 
 class TestTimeRange:

@@ -10,6 +10,7 @@ from tbell.correlators import (
     SelectionPolicy,
     _conditional_probabilities,
     _first_probabilities,
+    _reference_rule,
     _selection_jumps,
     disturbance,
     k_analytic,
@@ -136,6 +137,26 @@ class TestQuadratureConfig:
 
 
 class TestOracle:
+    def test_first_probabilities_match_the_plain_formula(self):
+        # the buffered squares and in-place division are the same arithmetic
+        phases = np.random.default_rng(3).uniform(-10.0, 10.0, (64, 16))
+        for omega, t1 in ((1.0, 0.31), (2.3, -4.7)):
+            ang = omega * (t1 - phases)
+            cp2, cm2 = np.cos(ang) ** 2, np.sin(ang) ** 2
+            expected = np.array([cp2, cm2]) / (cp2 + cm2)
+            found = _first_probabilities(phases, t1, DynamicsParams(omega))
+            assert found.tobytes() == expected.tobytes()
+
+    def test_reference_rules_are_built_once_and_read_only(self):
+        nodes, weights = _reference_rule("gauss-legendre")
+        assert _reference_rule("gauss-legendre")[0] is nodes
+        expected = np.polynomial.legendre.leggauss(16)
+        assert nodes.tobytes() == expected[0].tobytes()
+        assert weights.tobytes() == expected[1].tobytes()
+        with pytest.raises(ValueError):
+            weights[0] = 0.0
+        assert _reference_rule("uniform-midpoint")[1].tolist() == [2.0]
+
     def test_tableau_matches_scalar_kernel(self):
         # the factored final norms p1[q1] * cond[q1, q2] must reproduce the
         # scalar recursion for every outcome sequence

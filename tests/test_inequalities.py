@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from tbell import inequalities
 from tbell.correlators import SelectionPolicy, selection_factor
 from tbell.dynamics import DynamicsParams
 from tbell.inequalities import (
@@ -14,6 +15,7 @@ from tbell.inequalities import (
     SANTOS_PLUS,
     InequalitySpec,
     _combination,
+    _maximize,
     delta_k,
     delta_k_stationary,
     epsilon_threshold,
@@ -284,20 +286,56 @@ class TestFullSearch:
         assert np.allclose(omega * np.array(gaps), OPTIMAL_SPACING[name], rtol=0.0, atol=1e-13)
 
     def test_scan_holds_the_total_and_one_term(self):
-        # the 128^3 paz4 scan: a 16 MiB float total plus one 32 MiB complex
-        # term at a time (summing into a new total each term would need 64 MiB)
+        # the cold 128^3 paz4 scan: 16 MiB of float values plus one slab's
+        # 2 MiB total and 4 MiB complex term at a time (one whole-mesh term
+        # would need 32 MiB); the cache is cleared so the scan runs
+        _maximize.cache_clear()
         tracemalloc.start()
         try:
             full_time_search(PAZ4, P)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 52 * 2**20
+        assert peak <= 24 * 2**20
 
     def test_rejects_unsupported_arity(self):
         wide = InequalitySpec(5, ((1, 5, 1.0),), 1.0)
         with pytest.raises(ValueError):
             full_time_search(wide, P)
+
+
+# (spec, columns, points) of both searches, for every preset and one custom spec
+SEARCHES = {f"{name}-{search}": (spec, columns, points)
+            for name, spec in [*PRESETS.items(), ("custom", CUSTOM_ABS)]
+            for search, columns, points in [
+                ("stationary", (0,) * (spec.n_times - 1), inequalities._STATIONARY_GRID),
+                ("full", tuple(range(spec.n_times - 1)), inequalities._GAP_GRID)]}
+
+
+class TestMaximumCache:
+    @pytest.mark.parametrize("spec,columns,points", SEARCHES.values(), ids=SEARCHES)
+    def test_cached_result_is_a_fresh_scan(self, spec, columns, points):
+        _maximize(spec, columns, points)
+        best, thetas = _maximize(spec, columns, points)
+        fresh_best, fresh_thetas = _maximize.__wrapped__(spec, columns, points)
+        assert best == fresh_best
+        assert thetas.tobytes() == fresh_thetas.tobytes()
+
+    @pytest.mark.parametrize("spec", [PAZ4, CUSTOM_ABS])
+    def test_slab_size_does_not_change_the_result(self, spec, monkeypatch):
+        # one row of the first variable per slab against the whole mesh at once
+        results = []
+        for slab in (1, 128**3):
+            monkeypatch.setattr(inequalities, "_SLAB_POINTS", slab)
+            best, thetas = _maximize.__wrapped__(spec, (0, 1, 2), 128)
+            results.append((best, thetas.tobytes()))
+        assert results[0] == results[1]
+
+    def test_phases_are_read_only(self):
+        _, thetas = _maximize(PAZ4, (0, 0, 0), 4096)
+        with pytest.raises(ValueError):
+            thetas[0] = 0.0
+        assert thetas[0] == pytest.approx(math.pi / 8, abs=4.5e-16)
 
 
 class TestThreshold:
