@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 validation/runtime failure, 2 config error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
 import sys
@@ -28,6 +29,9 @@ VALIDATE_TOLERANCE = 1e-6
 # Most points on one grid axis, and cells in one validate (epsilon, lag)
 # table: 8 MB per float array of the table.
 MAX_GRID_POINTS = 1_000_000
+
+# Table rows formatted per write, so a table's text is never held whole.
+_BLOCK_ROWS = 1024
 
 _FLOAT_KEYS = frozenset({
     "omega", "rabi", "epsilon", "eps_min", "eps_max", "t_min", "t_max",
@@ -240,29 +244,31 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
-def _emit_table(cfg: dict, header: list[str], rows) -> None:
-    """Write the table to ``--out`` or stdout; a non-finite value writes nothing."""
-    finite = np.isfinite(np.asarray(rows, dtype=float))
-    if not finite.all():
-        column = header[int(np.argwhere(~finite)[0, 1])]
+def _emit_table(cfg: dict, columns: dict) -> None:
+    """Write the named columns (scalars or arrays that broadcast together, one
+    row per element in row-major order) to ``--out`` or stdout,
+    ``_BLOCK_ROWS`` rows at a time; a non-finite value writes nothing."""
+    names = list(columns)
+    table = np.empty(np.broadcast(*columns.values()).shape + (len(names),))
+    for k, values in enumerate(columns.values()):
+        table[..., k] = values
+    table = table.reshape(-1, len(names))
+    bad = ~np.isfinite(table)
+    if bad.any():
+        column = names[int(np.argmax(bad)) % len(names)]
         raise FloatingPointError(f"non-finite {column} value; nothing written")
-    fmt = cfg.get("format", "csv")
-    lines = []
-    if fmt == "csv":
-        lines.append(",".join(header))
-        for row in rows:
-            lines.append(",".join(_fmt(v) for v in row))
+    if cfg.get("format", "csv") == "csv":
+        head, row = ",".join(names) + "\n", ",".join(["%.17g"] * len(names))
     else:
-        for row in rows:
-            body = ", ".join(f'"{k}": {_fmt(v)}' for k, v in zip(header, row))
-            lines.append("{" + body + "}")
-    text = "\n".join(lines) + "\n"
+        head, row = "", "{" + ", ".join(f'"{name}": %.17g' for name in names) + "}"
+    row += "\n"  # %.17g prints what format(float(v), ".17g") does
     out = cfg.get("out")
-    if out in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", newline="\n") as handle:
-            handle.write(text)
+    with (contextlib.nullcontext(sys.stdout) if out in (None, "-")
+          else open(out, "w", newline="\n")) as handle:
+        handle.write(head)
+        for start in range(0, len(table), _BLOCK_ROWS):
+            block = table[start:start + _BLOCK_ROWS]
+            handle.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _time_axis(cfg: dict, params: DynamicsParams) -> tuple[str, float]:
@@ -290,13 +296,15 @@ def cmd_fig1(cfg: dict) -> int:
     if spec is not inequalities.SANTOS_MINUS:
         raise ConfigError("fig1 draws the santos-minus combination; pass that preset")
     axis_name, scale = _time_axis(cfg, params)
-    axis = _grid(cfg.get("t_min", 0.0), cfg.get("t_max", 4.0 * math.pi),
-                 cfg.get("t_steps", 1025), "t_steps")
+    ends = {"t_min": cfg.get("t_min", 0.0), "t_max": cfg.get("t_max", 4.0 * math.pi)}
+    for name, t in zip(ends, _physical_times(scale, ends)):
+        if not math.isfinite(2.0 * (params.omega * t)):
+            raise ConfigError(f"{name} gives a doubled phase 2*omega*t that is not finite")
+    axis = _grid(*ends.values(), cfg.get("t_steps", 1025), "t_steps")
     spacing = axis * scale
-    q_free = np.cos(2.0 * (params.omega * spacing))
     curve = inequalities.stationary_curve(spec, spacing, params, SelectionPolicy(0.0))
-    rows = [(axis[i], q_free[i], curve[i], spec.bound) for i in range(axis.size)]
-    _emit_table(cfg, [axis_name, "q_free", "delta_k_minus", "bound"], rows)
+    _emit_table(cfg, {axis_name: axis, "q_free": np.cos(2.0 * (params.omega * spacing)),
+                      "delta_k_minus": curve, "bound": spec.bound})
     return 0
 
 
@@ -306,17 +314,13 @@ def cmd_fig2(cfg: dict) -> int:
                      cfg.get("eps_steps", 101), "eps_steps")
     if np.any((eps_grid < 0) | (eps_grid > 1)):
         raise ConfigError("epsilon grid must stay inside [0, 1]")
-    maxima = []
-    for spec in (inequalities.PAZ4, inequalities.SANTOS_MINUS):
-        report = inequalities.maximize_violation(spec, params, SelectionPolicy(0.0))
-        maxima.append((report.delta_k_max, spec.bound))
-
-    def one_row(eps: float):
-        a_eps = correlators.selection_factor(SelectionPolicy(eps))
-        return (eps,) + tuple((a_eps * dk - b) / b for dk, b in maxima)
-
-    rows = [one_row(eps) for eps in eps_grid.tolist()]
-    _emit_table(cfg, ["epsilon", "delta_b_max_paz", "delta_b_max_santos"], rows)
+    a_eps = np.array([correlators.selection_factor(SelectionPolicy(eps))
+                      for eps in eps_grid.tolist()])
+    columns = {"epsilon": eps_grid}
+    for label, spec in (("paz", inequalities.PAZ4), ("santos", inequalities.SANTOS_MINUS)):
+        dk_max = inequalities.maximize_violation(spec, params, SelectionPolicy(0.0)).delta_k_max
+        columns[f"delta_b_max_{label}"] = (a_eps * dk_max - spec.bound) / spec.bound
+    _emit_table(cfg, columns)
     return 0
 
 
@@ -346,9 +350,8 @@ def cmd_validate(cfg: dict) -> int:
     max_dev = float(deviation[worst_e, worst_l])
 
     if cfg.get("out") is not None:
-        rows = [(eps_grid[i], params.omega * lags[j], oracle[i, j], analytic[i, j], deviation[i, j])
-                for i in range(eps_grid.size) for j in range(lags.size)]
-        _emit_table(cfg, ["epsilon", "omega_lag", "k_oracle", "k_selective", "deviation"], rows)
+        _emit_table(cfg, {"epsilon": eps_grid[:, None], "omega_lag": params.omega * lags,
+                          "k_oracle": oracle, "k_selective": analytic, "deviation": deviation})
 
     passed = max_dev <= VALIDATE_TOLERANCE
     print(f"grid: {eps_grid.size} epsilons x {lags.size} lags, "
@@ -380,9 +383,8 @@ def cmd_threshold(cfg: dict) -> int:
         print(f"full_search_max: {_fmt(best)}")
         print(f"full_search_gaps_omega_t: {gaps_wt}")
     if cfg.get("out") is not None:
-        _emit_table(cfg,
-                    ["delta_k_max", "argmax_omega_t", "epsilon_star", "a_epsilon_star"],
-                    [(report.delta_k_max, argmax_wt, eps_star, a_star)])
+        _emit_table(cfg, {"delta_k_max": report.delta_k_max, "argmax_omega_t": argmax_wt,
+                          "epsilon_star": eps_star, "a_epsilon_star": a_star})
     return 0
 
 
@@ -395,17 +397,13 @@ def cmd_correlate(cfg: dict) -> int:
     policy = _policy(cfg)
     quad = _quadrature(cfg)
     req = correlators.CorrelationRequest(t1, t2, params, policy)
-    free = correlators.k_analytic(req.t1, req.t2, params)
-    a_eps = correlators.selection_factor(policy)
-    selective = correlators.k_selective_analytic(req)
     oracle = correlators.k_oracle_grid(
         req.t1, np.array([req.t2 - req.t1]), np.array([policy.epsilon]), params,
         quad, select_both=bool(cfg.get("select_both", False)))[0, 0]
-    _emit_table(cfg,
-                ["omega", "t1", "t2", "epsilon", "a_epsilon",
-                 "k_analytic", "k_selective", "k_oracle"],
-                [(params.omega, cfg["t1"], cfg["t2"], policy.epsilon, a_eps,
-                  free, selective, oracle)])
+    _emit_table(cfg, {"omega": params.omega, "t1": cfg["t1"], "t2": cfg["t2"],
+                      "epsilon": policy.epsilon, "a_epsilon": correlators.selection_factor(policy),
+                      "k_analytic": correlators.k_analytic(req.t1, req.t2, params),
+                      "k_selective": correlators.k_selective_analytic(req), "k_oracle": oracle})
     return 0
 
 
@@ -436,11 +434,10 @@ def cmd_trajectory(cfg: dict) -> int:
         records, final_state = measured_trajectory(InitialPhase(t_prime), times, outcomes, params)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    rows = [
-        (i + 1, raw_times[i], rec.outcome, rec.pre_probability, rec.disturbance)
-        for i, rec in enumerate(records)
-    ]
-    _emit_table(cfg, ["index", axis_name, "outcome", "pre_probability", "disturbance"], rows)
+    _emit_table(cfg, {"index": np.arange(1, len(records) + 1), axis_name: raw_times,
+                      "outcome": [rec.outcome for rec in records],
+                      "pre_probability": [rec.pre_probability for rec in records],
+                      "disturbance": [rec.disturbance for rec in records]})
     print(f"final_norm_sq: {_fmt(final_state.norm_sq())}")
     print(f"product: {_fmt(trajectory_product(records, final_state))}")
     return 0

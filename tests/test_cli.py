@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import math
 import subprocess
 import sys
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tbell import cli, inequalities
 from tbell.correlators import SelectionPolicy, selection_factor
@@ -54,6 +59,13 @@ class TestFig1:
             assert code == 0 and err == ""
             tables.append(np.array([line.split(",") for line in out.splitlines()[1:]], dtype=float))
         assert np.allclose(tables[1], tables[0], rtol=0.0, atol=1e-12)
+
+    def test_axis_end_with_a_finite_doubled_phase(self, capfd):
+        # 2 * 5e307 is finite; the time rule rejects 1e308 (see TestTimeRange)
+        code = cli.main(["fig1", "--t-max", "5e307", "--t-steps", "3"])
+        out, err = capfd.readouterr()
+        assert code == 0 and err == ""
+        assert len(out.splitlines()) == 4
 
     def test_physical_time_axis(self, tmp_path, capsys):
         out = tmp_path / "fig1.csv"
@@ -147,6 +159,21 @@ class TestValidate:
         assert header == ["epsilon", "omega_lag", "k_oracle", "k_selective", "deviation"]
         assert len(rows) == 12
         assert all(abs(r[2] - r[3]) == pytest.approx(r[4], abs=1e-15) for r in rows)
+        # epsilon-major rows; omega_lag is omega * lag at the default omega = 1
+        lags = np.linspace(0.0, math.pi, 4)
+        assert [r[:2] for r in rows] == [[eps, 1.0 * lag] for eps in (0.0, 0.5, 1.0) for lag in lags]
+
+    def test_cell_table_memory_is_bounded(self, tmp_path, capsys):
+        # the table is formatted and written in blocks of rows, never held whole
+        tracemalloc.start()
+        try:
+            code, _, _ = run_cli(["validate", "--eps-steps", "100", "--t-steps", "1000",
+                                  "--out", str(tmp_path / "cells.csv")], capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak <= 16e6
 
 
 class TestThreshold:
@@ -531,6 +558,10 @@ class TestTimeRange:
          "times[1] "),
         (["trajectory", "--phase=-1.7e308", "--times", "0,1.7e308", "--outcomes", "+1,+1"],
          "phase to times[1]"),
+        (["fig1", "--t-max", "1e308", "--t-steps", "3"], "t_max "),
+        (["fig1", "--omega", "0.5", "--t-max", "1e308", "--t-steps", "3"], "t_max "),
+        (["fig1", "--omega", "1e-300", "--t-max", "1e10", "--t-steps", "3"], "t_max "),
+        (["fig1", "--t-min=-1.7e308", "--t-max=1.7e308", "--t-steps", "3"], "t_min to t_max"),
     ])
     def test_rejects_times_out_of_range(self, argv, setting, capfd):
         # each time after the omega scale, and each span between two, must be finite
@@ -567,21 +598,98 @@ class TestOutputContract:
 
     @pytest.mark.parametrize("fmt", ["csv", "json-lines"])
     @pytest.mark.parametrize("to_file", [False, True])
-    def test_refuses_non_finite_values(self, fmt, to_file, tmp_path, capsys):
-        # the physical time 2 * 1e308 overflows, so q_free is nan
+    def test_refuses_non_finite_values(self, fmt, to_file, tmp_path, monkeypatch, capsys):
+        # only the last curve value is non-finite; the rows before it are not written either
+        monkeypatch.setattr(cli.inequalities, "stationary_curve",
+                            lambda spec, spacing, *args: np.append(np.zeros(spacing.size - 1), np.inf))
         out = tmp_path / "fig1.out"
-        argv = ["fig1", "--omega", "0.5", "--t-max", "1e308", "--t-steps", "3", "--format", fmt]
-        with np.errstate(all="ignore"):
-            code, stdout, err = run_cli(argv + (["--out", str(out)] if to_file else []), capsys)
+        argv = ["fig1", "--t-steps", "3", "--format", fmt]
+        code, stdout, err = run_cli(argv + (["--out", str(out)] if to_file else []), capsys)
         assert code == 1
         assert stdout == ""
         assert not out.exists()
-        assert "non-finite q_free" in err
+        assert "non-finite delta_k_minus" in err
 
     def test_stdout_when_no_out_flag(self, capsys):
         code, out, _ = run_cli(["fig1", "--t-steps", "5"], capsys)
         assert code == 0
         assert out.splitlines()[0] == "omega_t,q_free,delta_k_minus,bound"
+
+
+FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, -2.5e-310, 1.7976931348623157e308, -1.7976931348623157e308]),
+)
+
+
+@st.composite
+def tables(draw):
+    """Named columns that broadcast together: scalars, (E, 1) and (L,) arrays and
+    (E, L) cells, with L sometimes above the emitter's block size."""
+    n_eps = draw(st.integers(1, 3))
+    n_lags = draw(st.sampled_from([1, 4, cli._BLOCK_ROWS + 1]))
+    shapes = {"scalar": (), "eps": (n_eps, 1), "lag": (n_lags,), "cell": (n_eps, n_lags)}
+    columns = {}
+    for k, kind in enumerate(draw(st.lists(st.sampled_from(list(shapes)), min_size=1, max_size=5))):
+        pool = draw(st.lists(FINITE, min_size=1, max_size=8))
+        columns[f"c{k}"] = pool[0] if kind == "scalar" else np.resize(pool, shapes[kind])
+    return columns
+
+
+def reference_rows(columns):
+    """The table's rows, in row-major broadcast order, as Python floats."""
+    cells = [np.ravel(c) for c in np.broadcast_arrays(*map(np.asarray, columns.values()))]
+    return [[float(v) for v in row] for row in zip(*cells)]
+
+
+def reference_text(columns, fmt):
+    """The table as the per-value formatter ``format(v, ".17g")`` lays it out."""
+    names = list(columns)
+    rows = [[format(v, ".17g") for v in row] for row in reference_rows(columns)]
+    if fmt == "csv":
+        return "".join(",".join(row) + "\n" for row in [names] + rows)
+    return "".join("{" + ", ".join(f'"{k}": {v}' for k, v in zip(names, row)) + "}\n"
+                   for row in rows)
+
+
+def emit(columns, fmt, to_file):
+    """Stdout, the --out file's text (None when absent) and the refusal, if
+    any, of one ``_emit_table`` call."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.out"
+        stdout, error = io.StringIO(), None
+        with contextlib.redirect_stdout(stdout):
+            try:
+                cli._emit_table({"format": fmt, "out": str(path) if to_file else None}, columns)
+            except FloatingPointError as exc:
+                error = exc
+        return stdout.getvalue(), path.read_text() if path.exists() else None, error
+
+
+class TestEmitTable:
+    @settings(deadline=None)
+    @given(columns=tables(), fmt=st.sampled_from(cli._FORMATS), to_file=st.booleans())
+    def test_matches_the_per_value_reference(self, columns, fmt, to_file):
+        stdout, written, error = emit(columns, fmt, to_file)
+        assert error is None
+        expected = reference_text(columns, fmt)
+        assert (stdout, written) == (("", expected) if to_file else (expected, None))
+
+    @settings(deadline=None)
+    @given(columns=tables(), fmt=st.sampled_from(cli._FORMATS), to_file=st.booleans(),
+           data=st.data())
+    def test_refuses_a_single_non_finite_value(self, columns, fmt, to_file, data):
+        name = data.draw(st.sampled_from(list(columns)))
+        bad = np.array(columns[name], dtype=float)
+        bad.flat[data.draw(st.integers(0, bad.size - 1))] = data.draw(
+            st.sampled_from([math.nan, math.inf, -math.inf]))
+        columns = {**columns, name: bad}
+        names = list(columns)
+        first = next(names[k] for row in reference_rows(columns)
+                     for k, v in enumerate(row) if not math.isfinite(v))
+        stdout, written, error = emit(columns, fmt, to_file)
+        assert str(error) == f"non-finite {first} value; nothing written"
+        assert (stdout, written) == ("", None)
 
 
 def test_module_entry_point():
