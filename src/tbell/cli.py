@@ -369,19 +369,17 @@ def cmd_threshold(cfg: dict) -> int:
     eps_star = inequalities.threshold_from_maximum(spec, report.delta_k_max)
     a_star = correlators.selection_factor(SelectionPolicy(eps_star))
     argmax_wt = params.omega * report.argmax_spacing
-    print(f"preset: {name}")
-    print(f"delta_k_max: {_fmt(report.delta_k_max)}")
-    print(f"argmax_omega_t: {_fmt(argmax_wt)}")
-    print(f"epsilon_star: {_fmt(eps_star)}")
-    print(f"a_epsilon_star: {_fmt(a_star)}")
-    if cfg.get("full_search"):
+    lines = [f"preset: {name}", f"delta_k_max: {_fmt(report.delta_k_max)}",
+             f"argmax_omega_t: {_fmt(argmax_wt)}", f"epsilon_star: {_fmt(eps_star)}",
+             f"a_epsilon_star: {_fmt(a_star)}"]
+    if cfg.get("full_search"):  # it refuses some specs, so it runs before any output
         try:
             best, gaps = inequalities.full_time_search(spec, params)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        gaps_wt = ",".join(_fmt(params.omega * g) for g in gaps)
-        print(f"full_search_max: {_fmt(best)}")
-        print(f"full_search_gaps_omega_t: {gaps_wt}")
+        lines += [f"full_search_max: {_fmt(best)}", "full_search_gaps_omega_t: "
+                  + ",".join(_fmt(params.omega * g) for g in gaps)]
+    print(*lines, sep="\n")
     if cfg.get("out") is not None:
         _emit_table(cfg, {"delta_k_max": report.delta_k_max, "argmax_omega_t": argmax_wt,
                           "epsilon_star": eps_star, "a_epsilon_star": a_star})

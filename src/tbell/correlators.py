@@ -77,8 +77,9 @@ class QuadratureConfig:
     """Phase-grid settings for the t' average.
 
     ``uniform-midpoint`` uses ``n_nodes`` cells of one node each;
-    ``gauss-legendre`` uses ``n_nodes // 16`` cells of 16 nodes each.  At
-    about 56 B per node, the cap of 10^7 bounds the oracle's peak near 0.56 GB.
+    ``gauss-legendre`` uses ``n_nodes // 16`` cells of 16 nodes each.  At a
+    traced peak of about 32 B per node on either scheme, the cap of 10^7
+    bounds the oracle's peak near 0.32 GB.
     """
 
     n_nodes: int = DEFAULT_NODES
@@ -156,46 +157,46 @@ def k_oracle_grid(
 
     A two-measurement trajectory that starts in ``|+>`` at phase t', is
     measured at t1 with outcome q1 and at t1 + lag with outcome q2, ends with
-    squared norm ``p1[q1](t') * cond[q1, q2](lag)``: the first collapse leaves
-    an outcome eigenstate, so the second outcome's conditional probability
-    depends on the lag alone.  Summing the signed outcome products of the
-    sequences whose first outcome passes the threshold and averaging over one
-    phase period therefore reduces, for each epsilon, to two phase integrals
+    squared norm ``p1[q1](u) * cond[q1, q2](lag)`` in the phase
+    ``u = omega * (t1 - t')``: the first collapse leaves an outcome
+    eigenstate, so the second outcome's conditional probability depends on
+    the lag alone.  Summing the signed outcome products of the sequences
+    whose first outcome passes the threshold and averaging over one period
+    of t', which u runs through as [0, 2 pi], therefore reduces, for each
+    epsilon, to two phase integrals
 
-        I_q(eps) = mean over t' of p1[q](t') * [p1[q](t') >= eps]
+        I_q(eps) = mean over u of p1[q](u) * [p1[q](u) >= eps]
 
-    at O(nodes) cost, followed by an O(lags) expansion
+    followed by an O(lags) expansion
 
         K(eps, lag) = I_+ * (c[+, +] - c[+, -]) - I_- * (c[-, +] - c[-, -])
 
     where ``c = cond`` with the entries below epsilon zeroed when
     ``select_both`` is set.  ``select_both`` applies the threshold to the
     second outcome too (exploratory; the published factorization selects on
-    the first only); it adds no phase-grid discontinuity.
+    the first only); it adds no phase-grid discontinuity.  The integrals
+    depend on neither t1 nor omega: t1 is checked to be finite, and is never
+    wrapped or reduced.
 
-    The integrand jumps where a first-outcome probability crosses epsilon.
-    A plain node-indicator rule would be O(eps / n_nodes) wrong near those
-    jumps, so the jump positions are located by k-section on the simulated
-    pre-measurement probability, and the phase quadrature is split at them.
-    Both schemes lay one reference rule on uniform cells and replace each
-    cell that straddles a jump by the same rule on each of its smooth pieces:
-    the midpoint rule (one node) on ``n_nodes`` cells, or the 16-point
-    Gauss-Legendre rule on ``n_nodes // 16`` cells.  This keeps the
-    quadrature deterministic while pushing the error down to the
-    smooth-piece level (~1e-8 for midpoint at the default node count).
+    The integrand jumps where p1[q] crosses epsilon, once per outcome and
+    quarter of [0, 2 pi].  A plain node-indicator rule would be
+    O(eps / n_nodes) wrong there, so the crossings are located by k-section
+    on the simulated probability (``_selection_jumps``) and the quadrature
+    is split at them.  One reference rule is laid on uniform cells of u from
+    0: the midpoint rule (one node) on ``n_nodes`` cells, or the 16-point
+    Gauss-Legendre rule on ``n_nodes // 16`` cells.  Their cumulative sums
+    give the rule's running integral G_q of p1[q] at each cell edge, and
+    G_q at a crossing adds the same rule on the one piece from its cell's
+    left edge; p1[q] is smooth, so nothing is masked.  Each crossing ends or
+    starts a selected run, so I_q is a signed sum of G_q at the crossings,
+    plus G_+(2 pi) since p+ is selected at u = 0.  The error is that of the
+    smooth pieces (~1e-8 for midpoint at the default node count).
 
-    The probabilities on the uniform cells are computed once, and each
-    epsilon costs one masked sum over them; the rest works on all epsilons at
-    once.  The jumps form an (E, 8) array of sorted rows: the eight crossings,
-    or at eps = 1 the four extrema, each twice; rows at eps = 0 have no jumps
-    and are masked out.  The straddled cells' masked sums are subtracted, and
-    the sums over their pieces (one ending and one starting at each jump)
-    added, as (E, 16, nodes per cell) arrays, in blocks of epsilons whose
-    pieces hold at most ``n_nodes / 4`` nodes; a piece no wider than roundoff,
-    or of a masked row, gets zero weight.  The lag expansion is one
-    broadcast, through an (E, 2, 2, L) mask only with ``select_both``.  Time
-    is O(E * (n_nodes + L)) and memory O(n_nodes + E * L), with a traced peak
-    of about 56 B per node.
+    Time is O(n_nodes + E * (nodes per cell + L)): no per-epsilon pass over
+    the cells is left; the pieces go in blocks of epsilons of at most
+    ``n_nodes / 4`` nodes, and the lag expansion is one broadcast, through an
+    (E, 2, 2, L) mask only with ``select_both``.  Memory is
+    O(n_nodes + E * L), with a traced peak of about 32 B per node.
 
     Returns an array of shape ``(len(epsilons), len(lags))``; each row
     depends on its own epsilon only.
@@ -204,15 +205,15 @@ def k_oracle_grid(
         quad = QuadratureConfig()
     lags = np.asarray(lags, dtype=float)
     epsilons = np.asarray(epsilons, dtype=float)
-    if lags.ndim != 1 or lags.size == 0:
-        raise ValueError("lags must be a non-empty 1-d sequence")
+    if not math.isfinite(t1):
+        raise ValueError(f"t1 must be finite, got {t1!r}")
+    if lags.ndim != 1 or lags.size == 0 or not np.all(np.isfinite(lags)):
+        raise ValueError("lags must be a non-empty 1-d sequence of finite numbers")
     if epsilons.ndim != 1 or epsilons.size == 0:
         raise ValueError("epsilons must be a non-empty 1-d sequence")
     if np.any((epsilons < 0.0) | (epsilons > 1.0)):
         raise ValueError("epsilons must lie in [0, 1]")
-    # the phase average is periodic in t1; reducing it keeps omega * (t1 - phase) accurate
-    i_plus, i_minus = _phase_integrals(epsilons, math.remainder(t1, params.period), params,
-                                       quad)[..., None]
+    i_plus, i_minus = _phase_integrals(epsilons, quad)[..., None]
     cond = _conditional_probabilities(lags, params)
     if select_both:
         cond = np.where(cond >= epsilons[:, None, None, None], cond, 0.0)
@@ -223,18 +224,26 @@ def k_oracle_grid(
 
 # -- internals ---------------------------------------------------------------
 
+# Per (outcome, quarter of [0, 2 pi]): the maximum of p_q at one end of the
+# quarter (p+ = cos^2 u peaks at 0, pi and 2 pi, p- = sin^2 u at pi/2 and
+# 3 pi/2), and the direction away from it, which is also the sign of G_q at
+# the quarter's crossing in I_q: a crossing above its maximum ends a selected
+# run (+1), one below it starts one (-1).
+_MAXIMA = 0.5 * math.pi * np.array([[0.0, 2.0, 2.0, 4.0], [1.0, 1.0, 3.0, 3.0]])
+_AWAY = np.array([[1.0, -1.0, 1.0, -1.0], [-1.0, 1.0, -1.0, 1.0]])
 
-def _first_probabilities(phases: np.ndarray, t1: float, params: DynamicsParams) -> np.ndarray:
-    """Born probabilities at t1 of a system in ``|+>`` at each phase anchor.
+
+def _first_probabilities(u: np.ndarray) -> np.ndarray:
+    """Born probabilities of each outcome at t1 of a system in ``|+>`` at t',
+    in the phase ``u = omega * (t1 - t')``.
 
     Mirrors ``initial_state`` and ``born_probability`` for an array of
-    anchors.  Returns shape ``(2,) + phases.shape``, outcomes in (+1, -1) order.
+    phases.  Returns shape ``(2,) + u.shape``, outcomes in (+1, -1) order.
     """
-    ang = params.omega * (t1 - np.asarray(phases, dtype=float))
-    p = np.empty((2,) + ang.shape)
-    np.square(np.cos(ang, out=p[0]), out=p[0])
-    np.square(np.sin(ang, out=p[1]), out=p[1])
-    p /= np.add(p[0], p[1], out=ang)  # ang is spent; its buffer takes the norm
+    p = np.empty((2,) + np.shape(u))
+    np.square(np.cos(u, out=p[0]), out=p[0])
+    np.square(np.sin(u, out=p[1]), out=p[1])
+    p /= p[0] + p[1]
     return p
 
 
@@ -250,42 +259,40 @@ def _reference_rule(scheme: str) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _phase_integrals(epsilons: np.ndarray, t1: float, params: DynamicsParams,
-                     quad: QuadratureConfig) -> np.ndarray:
-    """The phase integrals ``I_q(eps)`` of ``k_oracle_grid``, shape (2, E)."""
-    ref_nodes, ref_weights = _reference_rule(quad.scheme)
-    period = params.period
-    n_cells = quad.n_nodes // ref_nodes.size
-    h = period / n_cells
-    # uniform cells, axes (outcome, cell, node); weights are fractions of the period
-    p1 = _first_probabilities(((np.arange(n_cells) + 0.5) * h)[:, None] + (0.5 * h) * ref_nodes,
-                              t1, params)
-    f = p1 * ((0.5 * h) * ref_weights / period)
-    p1_flat, f_flat = p1.reshape(2, -1), f.reshape(2, -1)
-    integrals = np.array([np.where(p1_flat >= e, f_flat, 0.0).sum(axis=1)
-                          for e in epsilons.tolist()]).T
+def _phase_integrals(epsilons: np.ndarray, quad: QuadratureConfig) -> np.ndarray:
+    """The phase integrals ``I_q(eps)`` of ``k_oracle_grid``, shape (2, E).
 
-    all_jumps, all_crossed = _selection_jumps(epsilons, t1, params)
-    # blocks of epsilons whose pieces (16 cells' worth each) hold at most n_nodes / 4 nodes
-    size = max(1, n_cells // 64)
+    With d = (p+ - p-) / 2, p_q = 1/2 +- d, so the rule's running integral of
+    p_q from u = 0, as a fraction of 2 pi, is G_q(u) = u / (4 pi) +- D(u),
+    with D the rule's running integral of d = cos(2u) / 2: D stays below
+    1 / (8 pi), so its rounding does not build up over the cells.
+    """
+    ref_nodes, ref_weights = _reference_rule(quad.scheme)
+    n_cells = quad.n_nodes // ref_nodes.size
+    h = 2 * math.pi / n_cells
+    halves = np.array([0.5, -0.5])
+    # the rule sum of d over each cell, then D at the cell edges
+    nodes = ((np.arange(n_cells) + 0.5) * h)[:, None] + (0.5 * h) * ref_nodes
+    sums = np.einsum("qcm,q,m->c", _first_probabilities(nodes), halves, ref_weights / (2 * n_cells))
+    edges = np.concatenate([[0.0], np.cumsum(sums)])
+    # the four crossings of each (outcome, epsilon), then 2 pi, where p+ ends its last run
+    all_stops = np.concatenate([_selection_jumps(epsilons),
+                                np.full((2, epsilons.size, 1), 2 * math.pi)], axis=2)
+    signs = np.append(_AWAY, [[1.0], [0.0]], axis=1)[:, None]
+    integrals = np.empty((2, epsilons.size))
+    # blocks of epsilons whose pieces (ten per epsilon) hold at most n_nodes / 4 nodes
+    size = max(1, n_cells // 40)
     for start in range(0, epsilons.size, size):
-        part = slice(start, start + size)
-        jumps, crossed, level = all_jumps[part], all_crossed[part, None], epsilons[part, None, None]
-        cells = np.minimum((jumps / h).astype(int), n_cells - 1)
-        first = np.diff(cells, axis=1, prepend=-1) != 0
-        last = np.diff(cells, axis=1, append=n_cells) != 0
-        # the pieces stand in for the straddled cells, each subtracted once
-        straddled = np.where(p1[:, cells] >= level, f[:, cells], 0.0).sum(axis=-1)
-        integrals[:, part] -= np.where(first & crossed, straddled, 0.0).sum(axis=-1)
-        # a cell's pieces run from its left edge through its jumps to its right edge:
-        # one piece ends at each jump, and one starts at each jump that is last in its cell
-        lo = np.concatenate([np.where(first, cells * h, np.roll(jumps, 1, axis=1)), jumps], axis=1)
-        hi = np.concatenate([jumps, np.where(last, (cells + 1) * h, jumps)], axis=1)
-        half = np.where((hi - lo > period * 1e-15) & crossed, 0.5 * (hi - lo), 0.0)
-        p1_sub = _first_probabilities((0.5 * (lo + hi))[..., None] + half[..., None] * ref_nodes,
-                                         t1, params)
-        weights = half[..., None] * ref_weights / period
-        integrals[:, part] += (np.where(p1_sub >= level, p1_sub, 0.0) * weights).sum(axis=(2, 3))
+        stops = all_stops[:, start:start + size]
+        cells = (stops / h).astype(int)
+        half = 0.5 * (stops - cells * h)
+        p1 = _first_probabilities((stops - half)[..., None] + half[..., None] * ref_nodes)
+        # D at each stop; einsum, unlike a BLAS product, gives equal pieces equal
+        # sums, so at eps = 1, where the crossings meet on the maxima, I_q is exactly 0
+        running = np.einsum("qresm,q,m->res", p1, halves, ref_weights) * (half / (2 * math.pi))
+        running += edges[cells]
+        integrals[:, start:start + size] = ((signs * stops).sum(axis=2) / (4 * math.pi)
+                                            + [[1.0], [-1.0]] * (signs * running).sum(axis=2))
     return integrals
 
 
@@ -302,55 +309,47 @@ def _conditional_probabilities(lags: np.ndarray, params: DynamicsParams) -> np.n
     return np.array([[ca2, sa2], [sa2, ca2]])
 
 
-def _selection_jumps(epsilons: np.ndarray, t1: float,
-                     params: DynamicsParams) -> tuple[np.ndarray, np.ndarray]:
-    """Phases in [0, period) where a first-outcome probability crosses each
-    epsilon: an (E, 8) array, each row sorted, and an (E,) mask that is False
-    where the row holds no jump.
+def _selection_jumps(epsilons: np.ndarray) -> np.ndarray:
+    """Phases u in [0, 2 pi] where a first-outcome probability p_q crosses
+    each epsilon: one per (outcome, quarter), shape (2, E, 4).
 
-    The extrema of p+- lie every quarter period from t1, and between two of
-    them each probability runs monotonically between 0 and 1: for 0 < eps < 1
-    it crosses eps exactly once per quarter, four times per outcome.  Each
-    crossing is located to 60 bits of its quarter on the simulated
+    Each quarter of [0, 2 pi] runs from a maximum of p_q (``_MAXIMA``), where
+    p_q = 1, to a minimum, where p_q = 0, monotonically: for 0 < eps < 1 it
+    crosses eps once.  Each crossing is searched from its maximum, away from
+    it (``_AWAY``), and located to 60 bits of the quarter on the simulated
     probability, which reach below one ulp, in rounds of
     ``b = max(1, floor(log2(256 / n_roots + 1)))`` bits for the
     ``n_roots = 8 * len(epsilons)`` crossings: a round evaluates the
     ``2**b - 1`` points that cut each bracket into ``2**b`` equal parts, at
     most 256 in all or one per crossing.  One epsilon takes 12 rounds of 5
-    bits; 11 or more take 60 halvings.  At eps = 1 the selected set is the
-    float sliver around each maximum where p rounds to 1; every extremum is
-    the maximum of p+ or of p-, so the four extrema are the jumps, and a
-    quadrature node cannot sit inside a sliver with a whole cell's weight.
-    The eps = 1 row lists each extremum twice, so every other piece between
-    its jumps has zero width.  At eps = 0 the threshold is never crossed: the row
-    repeats the eps = 1 one and the mask marks it empty.
+    bits; 11 or more take 60 halvings.  The crossing returned is the last
+    point found where p_q > eps, tested as p_-q < 1 - eps above eps = 1/2.
+    At eps = 1 the selected set is the float sliver around each maximum
+    where p_q rounds to 1; no point has p_-q < 0, so each crossing sits on
+    its maximum and the sliver counts as empty.  At eps = 0 each crossing
+    lies within a step of its quarter's minimum, where p_q < 1e-32.
     """
-    quarter = params.period / 4
-    extrema = t1 % quarter + quarter * np.arange(4)
-    lo = np.broadcast_to(extrema[:, None], (2, epsilons.size, 4, 1))
-
-    # _first_probabilities, with row q evaluated for outcome q only
-    def probabilities(phases: np.ndarray) -> np.ndarray:  # p_q; axes (q, epsilon, quarter, point)
-        ang = params.omega * (t1 - phases)
-        cp2 = np.cos(ang) ** 2
-        cm2 = np.sin(ang) ** 2
-        return np.array((cp2[0], cm2[1])) / (cp2 + cm2)
-
-    # a quarter starts at a maximum (sign 1) or a minimum (sign -1) of p_q;
-    # lo moves past the leading points where sign * p_q > sign * eps, so
-    # after each round the crossing stays in [lo, lo + step]
-    sign = np.where(probabilities(lo) > 0.5, 1.0, -1.0)
-    level = sign * epsilons[:, None, None]
+    # each bracket's end nearer its maximum, and its direction, axes (q, epsilon, quarter,
+    # point) in full: rounds that broadcast over the epsilons ran ~20% slower at 21 or more
+    lo = np.repeat(_MAXIMA[:, None, :, None], epsilons.size, axis=1)
+    away = np.repeat(_AWAY[:, None, :, None], epsilons.size, axis=1)
+    # above eps = 1/2, p_q > eps is tested as p_-q < 1 - eps: near those crossings
+    # p_-q is the small one, accurate to its last digits, and 1 - eps is exact
+    eps = np.broadcast_to(epsilons[:, None, None], lo.shape)
+    flip = eps > 0.5
+    sign, level = np.where(flip, -1.0, 1.0), np.where(flip, eps - 1.0, eps)
+    cosine = flip != np.array([True, False])[:, None, None, None]  # cos^2 u / norm is p+
     # floor(log2(256 / n_roots + 1)) lies in 0..5, and 1..5 all divide 60
     bits = max(1, (256 // (8 * epsilons.size) + 1).bit_length() - 1)
     points = np.arange(1.0, 2 ** bits)
-    # the last column stays False, so argmin is the length of the leading run
+    # the last column stays False, so argmin is the length of the leading run of
+    # points where p_q > eps; after each round the crossing lies within a step of lo
     ahead = np.zeros(lo.shape[:-1] + (2 ** bits,), dtype=bool)
-    step = quarter
+    step = 0.5 * math.pi
     for _ in range(60 // bits):
         step *= 0.5 ** bits
-        np.greater(probabilities(lo + points * step) * sign, level, out=ahead[..., :-1])
-        lo = lo + ahead.argmin(axis=-1, keepdims=True) * step
-    roots = np.sort(((lo[..., 0] + step) % params.period).transpose(1, 0, 2).reshape(-1, 8), axis=1)
-    inside = ((epsilons > 0.0) & (epsilons < 1.0))[:, None]
-    return np.where(inside, roots, np.repeat(extrema, 2)), epsilons > 0.0
+        u = lo + away * (points * step)
+        cp2, cm2 = np.cos(u) ** 2, np.sin(u) ** 2
+        np.greater(np.where(cosine, cp2, cm2) / (cp2 + cm2) * sign, level, out=ahead[..., :-1])
+        lo = lo + away * (ahead.argmin(axis=-1, keepdims=True) * step)
+    return lo[..., 0]

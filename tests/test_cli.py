@@ -274,6 +274,17 @@ class TestThreshold:
         assert (info.misses, info.hits) == (1, 1)
         assert custom_out == preset_out.replace("preset: paz4", "preset: custom")
 
+    def test_full_search_refusal_prints_nothing(self, tmp_path, capfd):
+        # the chained 5-time combination: its equal-spacing report would come first
+        config = tmp_path / "chained5.cfg"
+        config.write_text("preset = custom\ncustom_n_times = 5\n"
+                          "custom_terms = 1,2,1; 2,3,1; 3,4,1; 4,5,1; 1,5,-1\ncustom_bound = 3\n")
+        code = cli.main(["threshold", "--config", str(config), "--full-search"])
+        out, err = capfd.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err == "error: full search supports n_times in {3, 4} only\n"
+
     def test_bad_custom_term_names_the_setting(self, tmp_path, capsys):
         config = tmp_path / "bad.cfg"
         config.write_text("preset = custom\ncustom_n_times = 3\n"

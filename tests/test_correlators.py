@@ -141,10 +141,10 @@ class TestOracle:
         # the buffered squares and in-place division are the same arithmetic
         phases = np.random.default_rng(3).uniform(-10.0, 10.0, (64, 16))
         for omega, t1 in ((1.0, 0.31), (2.3, -4.7)):
-            ang = omega * (t1 - phases)
-            cp2, cm2 = np.cos(ang) ** 2, np.sin(ang) ** 2
+            u = omega * (t1 - phases)
+            cp2, cm2 = np.cos(u) ** 2, np.sin(u) ** 2
             expected = np.array([cp2, cm2]) / (cp2 + cm2)
-            found = _first_probabilities(phases, t1, DynamicsParams(omega))
+            found = _first_probabilities(u)
             assert found.tobytes() == expected.tobytes()
 
     def test_reference_rules_are_built_once_and_read_only(self):
@@ -164,7 +164,7 @@ class TestOracle:
         phases = rng.uniform(0.0, 2.0 * math.pi, 25)
         lags = rng.uniform(0.0, math.pi, 4)
         t1 = 0.31
-        p1 = _first_probabilities(phases, t1, P)
+        p1 = _first_probabilities(P.omega * (t1 - phases))
         cond = _conditional_probabilities(lags, P)
         for i, t_prime in enumerate(phases):
             for j, lag in enumerate(lags):
@@ -180,56 +180,42 @@ class TestOracle:
     @pytest.mark.parametrize("t1", [0.0, 2.7])
     @pytest.mark.parametrize("omega", [1.0, 2.3])
     def test_jumps_match_analytic_crossings(self, t1, omega):
-        # p+ = cos^2(omega (t1 - t')) crosses eps where cos = +-sqrt(eps), and
-        # p- = sin^2 where cos = +-sqrt(1 - eps): 4 phases each per period.
-        # The jumps are bracketed between the extrema of p+-, every quarter
-        # period from t1, so t1 also runs over a quarter boundary, a value
-        # 1e-15 below it, and a negative value.  Near eps = 0 or 1 the two
-        # crossings around an extremum nearly meet; at eps = 1e-300 they
-        # coincide, below the roundoff-level probability that even the
+        # In the phase u = omega (t1 - t'), p+ = cos^2 u crosses eps at a, pi - a,
+        # pi + a and 2 pi - a, one per quarter of [0, 2 pi], where cos^2 a = eps;
+        # p- = sin^2 u crosses it at the same four with sin^2 a = eps.  Near eps =
+        # 0 or 1 the two crossings around an extremum nearly meet; at eps = 1e-300
+        # they coincide, below the roundoff-level probability that even the
         # computed minimum has.
-        params = DynamicsParams(omega)
-        period = params.period
-        quarter = period / 4
         extreme = [1e-300, 1e-10, 1e-7, 1.0 - 1e-7, 1.0 - 1e-10]
         eps_grid = np.concatenate([np.linspace(0.03, 0.97, 24), extreme])
         lags = np.linspace(0.0, 3.0, 7)
         # the rounds take 5, 4, 3, 2 and 1 bits at batches of 1, 2, 3, 5 and 29
         batches = [[eps] for eps in eps_grid] + [eps_grid[:2], eps_grid[10:13], eps_grid[-5:],
                                                  eps_grid]
-        for start in (t1, 3 * quarter, 3 * quarter - 1e-15, -3.1):
-            found_grid = []
-            for batch in batches:
-                jumps, _ = _selection_jumps(np.array(batch), start, params)
-                assert len(jumps) == len(batch)
-                found_grid += zip(batch, jumps)
-            for eps, found in found_grid:
+        for batch in batches:
+            jumps = _selection_jumps(np.array(batch))
+            assert jumps.shape == (2, len(batch), 4)
+            for eps, found in zip(batch, jumps.transpose(1, 0, 2)):
                 tol = 1e-9 if eps in extreme else 1e-12
-                assert np.all((found >= 0.0) & (found < period))
-                p_plus = _first_probabilities(found, start, params)[0]
-                is_plus = np.abs(p_plus - eps) < np.abs(1.0 - p_plus - eps)
+                assert np.all((found >= 0.0) & (found <= 2.0 * math.pi))
                 # cos^2 = level at atan2(sqrt(1 - level), sqrt(level)); 1 - level
                 # is passed in exactly, so the reference stays accurate near 0 and 1
-                for outcome_found, level, rest in ((found[is_plus], eps, 1.0 - eps),
-                                                   (found[~is_plus], 1.0 - eps, eps)):
-                    angle = math.atan2(math.sqrt(rest), math.sqrt(level))
-                    angles = np.array([angle, math.pi - angle])
-                    expected = np.concatenate([start - angles / omega,
-                                               start + angles / omega]) % period
-                    assert outcome_found.size == 4
-                    offset = outcome_found[:, None] - expected[None, :]
-                    close = np.abs((offset + period / 2) % period - period / 2) <= tol
-                    # at 1e-300 the crossings come in coinciding pairs
-                    matches = 2 if eps < 1e-100 else 1
-                    assert np.all(close.sum(axis=0) == matches)
-                    assert np.all(close.sum(axis=1) == matches)
-            # the threshold is never crossed at eps = 0 or 1: eps = 0 has no
-            # jumps, and at eps = 1 the extrema are, each a maximum of p+ or
-            # p-; the rows match the closed form A(eps) * cos(2 omega lag)
-            # with A = 1 and 0
-            (_, extrema), crossed = _selection_jumps(np.array([0.0, 1.0]), start, params)
-            assert crossed.tolist() == [False, True]
-            assert np.array_equal(extrema, np.repeat(start % quarter + quarter * np.arange(4), 2))
+                for outcome_found, level, rest in ((found[0], eps, 1.0 - eps),
+                                                   (found[1], 1.0 - eps, eps)):
+                    a = math.atan2(math.sqrt(rest), math.sqrt(level))
+                    expected = np.array([a, math.pi - a, math.pi + a, 2.0 * math.pi - a])
+                    assert np.all(np.abs(outcome_found - expected) <= tol)
+        # the threshold is never crossed at eps = 0 or 1: at eps = 1 each crossing
+        # sits on its quarter's maximum of p+- (the float sliver where p rounds to
+        # 1 counts as empty), and at eps = 0 on its minimum; the rows match the
+        # closed form A(eps) * cos(2 omega lag) with A = 1 and 0 at every t1
+        zero, one = _selection_jumps(np.array([0.0, 1.0])).transpose(1, 0, 2)
+        half_pi = math.pi / 2
+        assert np.array_equal(one, half_pi * np.array([[0, 2, 2, 4], [1, 1, 3, 3]]))
+        assert np.max(np.abs(zero - half_pi * np.array([[1, 1, 3, 3], [0, 2, 2, 4]]))) <= 1e-15
+        params = DynamicsParams(omega)
+        quarter = params.period / 4
+        for start in (t1, 3 * quarter, 3 * quarter - 1e-15, -3.1):
             rows = k_oracle_grid(start, lags, np.array([0.0, 1.0]), params, QuadratureConfig(1000))
             assert np.max(np.abs(rows[0] - np.cos(2.0 * omega * lags))) <= 1e-12
             assert np.max(np.abs(rows[1])) <= 1e-12
@@ -258,12 +244,14 @@ class TestOracle:
             permuted = k_oracle_grid(0.4, lags, eps_grid[order], P, quad, select_both=select_both)
             assert np.array_equal(permuted, grid[order])
 
-    def test_memory_does_not_scale_with_epsilons_times_nodes(self):
+    @pytest.mark.parametrize("scheme", ["uniform-midpoint", "gauss-legendre"])
+    def test_memory_does_not_scale_with_epsilons_times_nodes(self, scheme):
         # one (epsilons, nodes) float array would take 320 MB here
         lags = np.linspace(0.0, math.pi, 4)
         tracemalloc.start()
         try:
-            k_oracle_grid(0.0, lags, np.linspace(0.0, 1.0, 4001), P, QuadratureConfig(10_000))
+            k_oracle_grid(0.0, lags, np.linspace(0.0, 1.0, 4001), P,
+                          QuadratureConfig(10_000, scheme))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -292,13 +280,27 @@ class TestOracle:
 
     @pytest.mark.parametrize("scheme", ["uniform-midpoint", "gauss-legendre"])
     def test_full_selection_is_zero_with_a_node_on_a_maximum(self, scheme):
-        # p rounds to exactly 1 within ~1e-8 of a maximum of p+ or p-.  With
-        # t1 = 0 an odd node count puts a cell midpoint on the maximum of p+
-        # at period / 2; so does t1 on a midpoint of the default grid
+        # p rounds to exactly 1 within ~1e-8 of a maximum of p+ or p-.  An odd
+        # node count puts a cell midpoint on the maximum of p+ at u = pi, and
+        # the 16- and 17-node rules lay a single cell on the whole period
         lags = np.linspace(0.0, 3.0, 7)
-        for t1, nodes in ((0.0, 10001), (0.0, 10002), (math.pi / 10000, 10000)):
+        for t1, nodes in ((0.0, 10001), (0.0, 10002), (math.pi / 10000, 10000),
+                          (0.0, 16), (0.0, 17)):
             grid = k_oracle_grid(t1, lags, np.array([1.0]), P, QuadratureConfig(nodes, scheme))
-            assert np.max(np.abs(grid)) <= 1e-12
+            assert np.max(np.abs(grid)) == 0.0
+
+    @pytest.mark.parametrize("nodes", [160, 10_000])
+    def test_selection_near_one_keeps_float64_accuracy(self, nodes):
+        # above eps = 1/2 the crossings are found on the small probability p_-q
+        # against the exact 1 - eps, so A(eps) ~ (1 - eps)^(3/2) stays exact to
+        # float64's absolute accuracy where p_q itself has no digits left
+        mpmath = pytest.importorskip("mpmath")
+        quad = QuadratureConfig(nodes, "gauss-legendre")
+        for eps in (1.0 - 1e-6, 1.0 - 1e-10, 1.0 - 2.0 ** -40):
+            with mpmath.workdps(40):
+                e = mpmath.mpf(eps)
+                exact = float((2 * mpmath.sqrt(e * (1 - e)) + mpmath.acos(2 * e - 1)) / mpmath.pi)
+            assert abs(k_oracle_grid(0.37, [0.0], [eps], P, quad)[0, 0] - exact) <= 1e-15
 
     def test_half_selection_single_value(self):
         req = CorrelationRequest(0.0, math.pi / 6, P, policy(0.5))
@@ -313,11 +315,18 @@ class TestOracle:
             assert np.max(np.abs(oracle[i] - expected)) <= 1e-6
 
     def test_depends_only_on_lag(self):
-        lags = np.array([0.4, 1.7])
-        for eps, tol in ((0.0, 1e-9), (0.37, 2e-6)):
-            base = k_oracle_grid(0.0, lags, np.array([eps]), P)
-            shifted = k_oracle_grid(5.13, lags, np.array([eps]), P)
-            assert np.max(np.abs(base - shifted)) <= tol
+        # the phase average runs over a whole period, in u = omega (t1 - t') from 0,
+        # so rows are bitwise equal for every t1
+        lags = np.array([-3.0, -1.0, 0.0, 0.4, 1.7, 3.0])
+        eps_grid = np.array([0.0, 1e-9, 0.3, 0.37, 0.5, 0.97, 1.0])
+        for scheme in ("uniform-midpoint", "gauss-legendre"):
+            for select_both in (False, True):
+                quad = QuadratureConfig(1000, scheme)
+                for omega in (1.0, 2.3):
+                    params = DynamicsParams(omega)
+                    rows = [k_oracle_grid(t1, lags, eps_grid, params, quad, select_both=select_both)
+                            for t1 in (0.0, 2.7, -3.1, 5.13, 1e300)]
+                    assert all(r.tobytes() == rows[0].tobytes() for r in rows[1:])
 
     def test_even_in_lag(self):
         lags = np.array([-1.1, 1.1])
@@ -357,6 +366,14 @@ class TestOracle:
             k_oracle_grid(0.0, np.array([]), np.array([0.0]), P)
         with pytest.raises(ValueError):
             k_oracle_grid(0.0, np.array([1.0]), np.array([1.5]), P)
+
+    @pytest.mark.parametrize("t1, lags, name", [
+        (math.nan, [1.0], "t1"), (math.inf, [1.0], "t1"), (-math.inf, [1.0], "t1"),
+        (0.0, [1.0, math.inf], "lags"), (0.0, [math.nan], "lags"), (0.0, [-math.inf, 0.0], "lags"),
+    ])
+    def test_refuses_non_finite_inputs(self, t1, lags, name):
+        with pytest.raises(ValueError, match=name):
+            k_oracle_grid(t1, lags, np.array([0.3]), P, QuadratureConfig(64))
 
 
 class TestDisturbance:
