@@ -4,7 +4,9 @@ Subcommands emit flat numeric tables (CSV or JSON lines) with every value
 printed to 17 significant digits, so files are byte-stable across runs and
 re-parse exactly.  Time-valued inputs and outputs are dimensionless omega*t
 unless --physical-time is given.  Settings may come from a flat key=value
-config file; command-line flags win.
+config file; command-line flags win.  Each setting is declared once, in
+``SETTINGS``, and each subcommand accepts the flags of the settings it reads
+and no others.
 
 Exit codes: 0 success, 1 validation/runtime failure, 2 config error.
 """
@@ -16,6 +18,7 @@ import contextlib
 import functools
 import math
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -33,42 +36,81 @@ MAX_GRID_POINTS = 1_000_000
 # Table rows formatted per write, so a table's text is never held whole.
 _BLOCK_ROWS = 1024
 
-_FLOAT_KEYS = frozenset({
-    "omega", "rabi", "epsilon", "eps_min", "eps_max", "t_min", "t_max",
-    "t1", "t2", "phase", "custom_bound",
-})
-_INT_KEYS = frozenset({"n", "eps_steps", "t_steps", "nodes", "custom_n_times"})
-_BOOL_KEYS = frozenset({"select_both", "physical_time", "full_search", "custom_abs"})
-_STR_KEYS = frozenset({"preset", "scheme", "format", "out", "times", "outcomes", "custom_terms"})
-_ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _BOOL_KEYS | _STR_KEYS
 _FORMATS = ("csv", "json-lines")
+
+
+@dataclass(frozen=True)
+class Setting:
+    """One row of ``SETTINGS``: a setting's type, readers, help and choices."""
+
+    type: type  # float, int, bool or str
+    commands: str  # space-separated subcommands that read it
+    help: str | None = None
+    choices: tuple[str, ...] | None = None
+    config_only: bool = False  # no flag: set in the config file only
+
+
+# Each subcommand accepts the flags of the settings it reads and no others.
+# A config-file key is accepted and checked for every subcommand, since one
+# file serves several, and is ignored where it is not read.
+_EVERY = "fig1 fig2 validate threshold correlate trajectory"
+SETTINGS = {
+    "omega": Setting(float, _EVERY, "angular frequency (default 1.0)"),
+    "rabi": Setting(float, _EVERY, "vacuum Rabi frequency (cavity mode)"),
+    "n": Setting(int, _EVERY, "photon number for the cavity mode"),
+    "preset": Setting(str, "fig1 threshold", choices=(*inequalities.PRESETS, "custom")),
+    "epsilon": Setting(float, "correlate", "distinguishability threshold"),
+    "eps_min": Setting(float, "fig2 validate"),
+    "eps_max": Setting(float, "fig2 validate"),
+    "eps_steps": Setting(int, "fig2 validate"),
+    "t_min": Setting(float, "fig1 validate"),
+    "t_max": Setting(float, "fig1 validate"),
+    "t_steps": Setting(int, "fig1 validate"),
+    "nodes": Setting(int, "validate correlate", "phase-grid size for the oracle"),
+    "scheme": Setting(str, "validate correlate", choices=correlators.QUADRATURE_SCHEMES),
+    "out": Setting(str, _EVERY, "output path ('-' for stdout)"),
+    "format": Setting(str, _EVERY, choices=_FORMATS),
+    "select_both": Setting(bool, "validate correlate",
+                           "apply the threshold to the second outcome too (exploratory)"),
+    "physical_time": Setting(bool, "fig1 validate correlate trajectory",
+                             "times are physical instead of omega*t"),
+    "full_search": Setting(bool, "threshold", "also maximize over unconstrained gaps"),
+    "t1": Setting(float, "correlate"),
+    "t2": Setting(float, "correlate"),
+    "times": Setting(str, "trajectory", "comma-separated measurement times"),
+    "outcomes": Setting(str, "trajectory", "comma-separated outcomes, e.g. +1,-1,+1"),
+    "phase": Setting(float, "trajectory", "anchor instant t' (default 0)"),
+    "custom_n_times": Setting(int, "fig1 threshold", config_only=True),
+    "custom_terms": Setting(str, "fig1 threshold", config_only=True),
+    "custom_bound": Setting(float, "fig1 threshold", config_only=True),
+    "custom_abs": Setting(bool, "fig1 threshold", config_only=True),
+}
+
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
 
 
 class ConfigError(Exception):
     pass
 
 
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"expected a boolean, got {text!r}")
+@contextlib.contextmanager
+def _config_errors():
+    """Report a ValueError raised in the block as a config error (exit 2)."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _cast(key: str, text: str):
+    setting = SETTINGS[key]
     try:
-        if key in _FLOAT_KEYS:
-            return float(text)
-        if key in _INT_KEYS:
-            return int(text)
-        if key in _BOOL_KEYS:
-            return _parse_bool(text)
-        if key == "format" and text not in _FORMATS:
+        value = _BOOLEANS[text.lower()] if setting.type is bool else setting.type(text)
+        if setting.choices is not None and value not in setting.choices:
             raise ValueError(text)
-        return text
-    except ValueError:
+        return value
+    except (KeyError, ValueError):
         raise ConfigError(f"bad value for {key!r}: {text!r}") from None
 
 
@@ -86,7 +128,7 @@ def _load_config_file(path: str) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected key = value")
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
-        if key not in _ALL_KEYS:
+        if key not in SETTINGS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         values[key] = _cast(key, value.strip())
     return values
@@ -96,53 +138,22 @@ def _load_config_file(path: str) -> dict:
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process on first use and shared by
     every call: callers must not modify it (``parse_args`` does not)."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="flat key=value settings file (flags win)")
-    common.add_argument("--omega", type=float, help="angular frequency (default 1.0)")
-    common.add_argument("--rabi", type=float, help="vacuum Rabi frequency (cavity mode)")
-    common.add_argument("--n", type=int, help="photon number for the cavity mode")
-    common.add_argument("--preset", choices=["paz4", "santos-minus", "santos-plus", "custom"])
-    common.add_argument("--epsilon", type=float, help="distinguishability threshold")
-    common.add_argument("--eps-min", type=float)
-    common.add_argument("--eps-max", type=float)
-    common.add_argument("--eps-steps", type=int)
-    common.add_argument("--t-min", type=float)
-    common.add_argument("--t-max", type=float)
-    common.add_argument("--t-steps", type=int)
-    common.add_argument("--nodes", type=int, help="phase-grid size for the oracle")
-    common.add_argument("--scheme", choices=list(correlators.QUADRATURE_SCHEMES))
-    common.add_argument("--out", help="output path ('-' for stdout)")
-    common.add_argument("--format", choices=_FORMATS)
-    common.add_argument("--select-both", action="store_const", const=True, default=None,
-                        help="apply the threshold to the second outcome too (exploratory)")
-    common.add_argument("--physical-time", action="store_const", const=True, default=None,
-                        help="times are physical instead of omega*t")
-
     parser = argparse.ArgumentParser(
         prog="tbell",
         description="Temporal Bell inequalities for a measured two-level system.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("fig1", parents=[common],
-                   help="free expectation curve and the stationary inequality combination")
-    sub.add_parser("fig2", parents=[common],
-                   help="fractional violation versus distinguishability threshold")
-    sub.add_parser("validate", parents=[common],
-                   help="brute-force oracle versus the closed form on an (epsilon, lag) grid")
-    threshold = sub.add_parser("threshold", parents=[common],
-                               help="distinguishability level where violations disappear")
-    threshold.add_argument("--full-search", action="store_const", const=True, default=None,
-                           help="also maximize over unconstrained gaps")
-    correlate = sub.add_parser("correlate", parents=[common],
-                               help="single selective-correlator query")
-    correlate.add_argument("--t1", type=float)
-    correlate.add_argument("--t2", type=float)
-    trajectory = sub.add_parser("trajectory", parents=[common],
-                                help="record sequence of one measured trajectory")
-    trajectory.add_argument("--times", help="comma-separated measurement times")
-    trajectory.add_argument("--outcomes", help="comma-separated outcomes, e.g. +1,-1,+1")
-    trajectory.add_argument("--phase", type=float, help="anchor instant t' (default 0)")
+    for command, (_, text) in _COMMANDS.items():
+        # an argument group adds a flag without the help formatter that
+        # ArgumentParser.add_argument builds to check each one
+        group = sub.add_parser(command, help=text).add_argument_group("settings")
+        group.add_argument("--config", help="flat key=value settings file (flags win)")
+        for key, setting in SETTINGS.items():
+            if setting.config_only or command not in setting.commands.split():
+                continue
+            kind = (dict(action="store_const", const=True, default=None) if setting.type is bool
+                    else dict(type=setting.type, choices=setting.choices))
+            group.add_argument("--" + key.replace("_", "-"), help=setting.help, **kind)
     return parser
 
 
@@ -150,35 +161,25 @@ def _resolve(args: argparse.Namespace) -> dict:
     cfg: dict = {}
     if args.config:
         cfg.update(_load_config_file(args.config))
-    for key in _ALL_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            cfg[key] = value
-    for key in sorted(_FLOAT_KEYS & cfg.keys()):
-        if not math.isfinite(cfg[key]):
+    cfg.update((key, value) for key, value in vars(args).items()
+               if key in SETTINGS and value is not None)
+    for key in sorted(cfg):
+        if SETTINGS[key].type is float and not math.isfinite(cfg[key]):
             raise ConfigError(f"{key} must be finite, got {cfg[key]!r}")
     return cfg
 
 
 def _effective_params(cfg: dict) -> DynamicsParams:
-    omega = cfg.get("omega")
-    rabi = cfg.get("rabi")
-    n = cfg.get("n")
+    omega, rabi, n = cfg.get("omega"), cfg.get("rabi"), cfg.get("n")
     if rabi is not None or n is not None:
         if omega is not None:
             raise ConfigError("give either --omega or --rabi with --n, not both")
         if rabi is None or n is None:
             raise ConfigError("--rabi and --n must be given together")
-        try:
+    with _config_errors():
+        if rabi is not None:
             omega = inequalities.jaynes_cummings_frequency(rabi, n)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-    if omega is None:
-        omega = 1.0
-    try:
-        return DynamicsParams(omega)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        return DynamicsParams(1.0 if omega is None else omega)
 
 
 def _grid(lo: float, hi: float, steps: int, setting: str) -> np.ndarray:
@@ -197,47 +198,27 @@ def _spec_from_config(cfg: dict, default: str | None = None) -> tuple[str, inequ
         raise ConfigError("a --preset is required")
     if name in inequalities.PRESETS:
         return name, inequalities.PRESETS[name]
-    if name != "custom":
-        raise ConfigError(f"unknown preset {name!r}")
     missing = [k for k in ("custom_n_times", "custom_terms", "custom_bound") if k not in cfg]
     if missing:
         raise ConfigError(f"custom preset needs config keys: {', '.join(missing)}")
     terms = []
-    for chunk in str(cfg["custom_terms"]).split(";"):
-        parts = [p.strip() for p in chunk.split(",")]
+    for chunk in cfg["custom_terms"].split(";"):
         try:
-            i, j, coeff = parts
+            i, j, coeff = chunk.split(",")
             terms.append((int(i), int(j), float(coeff)))
         except ValueError:
             raise ConfigError(f"bad value for 'custom_terms': {chunk!r}; "
                               "expected i,j,coefficient") from None
-    try:
-        spec = inequalities.InequalitySpec(
-            n_times=int(cfg["custom_n_times"]),
-            terms=tuple(terms),
-            bound=float(cfg["custom_bound"]),
-            abs_mode=bool(cfg.get("custom_abs", False)),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    return "custom", spec
-
-
-def _policy(cfg: dict, default: float = 0.0) -> SelectionPolicy:
-    try:
-        return SelectionPolicy(cfg.get("epsilon", default))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    with _config_errors():
+        return "custom", inequalities.InequalitySpec(
+            n_times=cfg["custom_n_times"], terms=tuple(terms), bound=cfg["custom_bound"],
+            abs_mode=cfg.get("custom_abs", False))
 
 
 def _quadrature(cfg: dict) -> QuadratureConfig:
-    try:
-        return QuadratureConfig(
-            n_nodes=cfg.get("nodes", correlators.DEFAULT_NODES),
-            scheme=cfg.get("scheme", "uniform-midpoint"),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    with _config_errors():
+        return QuadratureConfig(n_nodes=cfg.get("nodes", correlators.DEFAULT_NODES),
+                                scheme=cfg.get("scheme", "uniform-midpoint"))
 
 
 def _fmt(value) -> str:
@@ -273,9 +254,7 @@ def _emit_table(cfg: dict, columns: dict) -> None:
 
 def _time_axis(cfg: dict, params: DynamicsParams) -> tuple[str, float]:
     """Column name and input->physical scale for the time axis."""
-    if cfg.get("physical_time"):
-        return "t", 1.0
-    return "omega_t", 1.0 / params.omega
+    return ("t", 1.0) if cfg.get("physical_time") else ("omega_t", 1.0 / params.omega)
 
 
 def _physical_times(scale: float, times: dict[str, float]) -> list[float]:
@@ -324,6 +303,25 @@ def cmd_fig2(cfg: dict) -> int:
     return 0
 
 
+def _select_both_closed_form(oracle: np.ndarray, eps: np.ndarray, omega_lag: np.ndarray,
+                             factors: np.ndarray) -> np.ndarray:
+    """The select-both correlator A(eps) (c^2 [c^2 >= eps] - s^2 [s^2 >= eps]) with
+    c = cos(omega lag), s = sin(omega lag) on an (epsilon, lag) grid.  Where c^2 or
+    s^2 lies within 1e-9 of eps, the indicator is ill-conditioned and takes
+    whichever of its two values puts the form nearer ``oracle``."""
+    e = eps[:, None]
+    c2, s2 = np.cos(omega_lag) ** 2, np.sin(omega_lag) ** 2
+    form, best = np.zeros(oracle.shape), np.full(oracle.shape, np.inf)
+    for c_on, s_on in ((False, False), (False, True), (True, False), (True, True)):
+        allowed = ((((c2 >= e) == c_on) | (np.abs(c2 - e) <= 1e-9))
+                   & (((s2 >= e) == s_on) | (np.abs(s2 - e) <= 1e-9)))
+        candidate = factors[:, None] * (c2 * c_on - s2 * s_on)
+        gap = np.where(allowed, np.abs(oracle - candidate), np.inf)
+        form = np.where(gap < best, candidate, form)
+        best = np.minimum(gap, best)
+    return form
+
+
 def cmd_validate(cfg: dict) -> int:
     params = _effective_params(cfg)
     quad = _quadrature(cfg)
@@ -342,9 +340,13 @@ def cmd_validate(cfg: dict) -> int:
 
     oracle = correlators.k_oracle_grid(0.0, lags, eps_grid, params, quad,
                                        select_both=select_both)
-    free = np.array([correlators.k_analytic(0.0, lag, params) for lag in lags])
-    factors = [correlators.selection_factor(SelectionPolicy(eps)) for eps in eps_grid.tolist()]
-    analytic = np.array(factors)[:, None] * free
+    factors = np.array([correlators.selection_factor(SelectionPolicy(eps))
+                        for eps in eps_grid.tolist()])
+    if select_both:
+        analytic = _select_both_closed_form(oracle, eps_grid, params.omega * lags, factors)
+    else:
+        free = np.array([correlators.k_analytic(0.0, lag, params) for lag in lags])
+        analytic = factors[:, None] * free
     deviation = np.abs(oracle - analytic)
     worst_e, worst_l = np.unravel_index(int(np.argmax(deviation)), deviation.shape)
     max_dev = float(deviation[worst_e, worst_l])
@@ -365,7 +367,7 @@ def cmd_validate(cfg: dict) -> int:
 def cmd_threshold(cfg: dict) -> int:
     params = _effective_params(cfg)
     name, spec = _spec_from_config(cfg)
-    report = inequalities.maximize_violation(spec, params, _policy(cfg))
+    report = inequalities.maximize_violation(spec, params, SelectionPolicy(0.0))
     eps_star = inequalities.threshold_from_maximum(spec, report.delta_k_max)
     a_star = correlators.selection_factor(SelectionPolicy(eps_star))
     argmax_wt = params.omega * report.argmax_spacing
@@ -373,10 +375,8 @@ def cmd_threshold(cfg: dict) -> int:
              f"argmax_omega_t: {_fmt(argmax_wt)}", f"epsilon_star: {_fmt(eps_star)}",
              f"a_epsilon_star: {_fmt(a_star)}"]
     if cfg.get("full_search"):  # it refuses some specs, so it runs before any output
-        try:
+        with _config_errors():
             best, gaps = inequalities.full_time_search(spec, params)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
         lines += [f"full_search_max: {_fmt(best)}", "full_search_gaps_omega_t: "
                   + ",".join(_fmt(params.omega * g) for g in gaps)]
     print(*lines, sep="\n")
@@ -392,7 +392,8 @@ def cmd_correlate(cfg: dict) -> int:
         raise ConfigError("correlate needs --t1 and --t2")
     _, scale = _time_axis(cfg, params)
     t1, t2 = _physical_times(scale, {"t1": cfg["t1"], "t2": cfg["t2"]})
-    policy = _policy(cfg)
+    with _config_errors():
+        policy = SelectionPolicy(cfg.get("epsilon", 0.0))
     quad = _quadrature(cfg)
     req = correlators.CorrelationRequest(t1, t2, params, policy)
     oracle = correlators.k_oracle_grid(
@@ -422,16 +423,14 @@ def cmd_trajectory(cfg: dict) -> int:
         raise ConfigError("trajectory needs --times and --outcomes")
     axis_name, scale = _time_axis(cfg, params)
     try:
-        raw_times = tuple(float(tok) for tok in str(cfg["times"]).split(","))
+        raw_times = tuple(float(tok) for tok in cfg["times"].split(","))
     except ValueError:
         raise ConfigError(f"bad --times value {cfg['times']!r}") from None
-    outcomes = _parse_outcomes(str(cfg["outcomes"]))
+    outcomes = _parse_outcomes(cfg["outcomes"])
     named = {f"times[{i}]": t for i, t in enumerate(raw_times)}
     t_prime, *times = _physical_times(scale, {"phase": cfg.get("phase", 0.0), **named})
-    try:
+    with _config_errors():
         records, final_state = measured_trajectory(InitialPhase(t_prime), times, outcomes, params)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
     _emit_table(cfg, {"index": np.arange(1, len(records) + 1), axis_name: raw_times,
                       "outcome": [rec.outcome for rec in records],
                       "pre_probability": [rec.pre_probability for rec in records],
@@ -442,27 +441,24 @@ def cmd_trajectory(cfg: dict) -> int:
 
 
 _COMMANDS = {
-    "fig1": cmd_fig1,
-    "fig2": cmd_fig2,
-    "validate": cmd_validate,
-    "threshold": cmd_threshold,
-    "correlate": cmd_correlate,
-    "trajectory": cmd_trajectory,
+    "fig1": (cmd_fig1, "free expectation curve and the stationary inequality combination"),
+    "fig2": (cmd_fig2, "fractional violation versus distinguishability threshold"),
+    "validate": (cmd_validate,
+                 "brute-force oracle versus the closed form on an (epsilon, lag) grid"),
+    "threshold": (cmd_threshold, "distinguishability level where violations disappear"),
+    "correlate": (cmd_correlate, "single selective-correlator query"),
+    "trajectory": (cmd_trajectory, "record sequence of one measured trajectory"),
 }
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = _resolve(args)
-        return _COMMANDS[args.command](cfg)
-    except ConfigError as exc:
+        return _COMMANDS[args.command][0](cfg)
+    except (ConfigError, ValueError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError, FloatingPointError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ConfigError) else 1
 
 
 if __name__ == "__main__":

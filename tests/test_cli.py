@@ -150,6 +150,34 @@ class TestValidate:
         assert code == 0
         assert float(out.split("max deviation: ")[1].split(" ")[0]) <= 1e-12
 
+    @pytest.mark.parametrize("scheme, nodes, tol", [("uniform-midpoint", 10_000, 1e-7),
+                                                     ("gauss-legendre", 160, 1e-14)])
+    @pytest.mark.parametrize("omega", [1.0, 2.3])
+    def test_select_both_oracle_matches_its_closed_form(self, scheme, nodes, tol, omega):
+        # lags on multiples of pi / (4 omega): c^2 and s^2 take 0, 1/2 and 1,
+        # so eps = 1/2 ties on odd multiples, and 0 and 1 tie on the rest
+        eps = np.array([0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0])
+        lags = np.arange(9) * math.pi / (4.0 * omega)
+        params = DynamicsParams(omega)
+        oracle = cli.correlators.k_oracle_grid(1.3, lags, eps, params,
+                                               cli.QuadratureConfig(nodes, scheme),
+                                               select_both=True)
+        factors = np.array([selection_factor(SelectionPolicy(e)) for e in eps])
+        form = cli._select_both_closed_form(oracle, eps, omega * lags, factors)
+        assert np.max(np.abs(oracle - form)) <= tol
+        # away from the ties the form has one value: at eps = 1/4 and 3/4 only
+        # the larger of c^2 and s^2 passes
+        c2, s2 = np.cos(omega * lags) ** 2, np.sin(omega * lags) ** 2
+        for row in (2, 4):
+            strict = factors[row] * (c2 * (c2 >= eps[row]) - s2 * (s2 >= eps[row]))
+            assert np.array_equal(form[row], strict)
+
+    def test_select_both_passes(self, capsys):
+        code, out, _ = run_cli(["validate", "--select-both", "--eps-steps", "5",
+                                "--t-steps", "8"], capsys)
+        assert code == 0
+        assert out.endswith("PASS (tolerance 9.9999999999999995e-07)\n")
+
     def test_writes_cell_table(self, tmp_path, capsys):
         out = tmp_path / "cells.csv"
         code, _, _ = run_cli(["validate", "--eps-steps", "3", "--t-steps", "4",
@@ -390,6 +418,87 @@ class TestParser:
             outputs.append(out)
         assert outputs[-1] == outputs[0]
         assert run_cli(self.ARGVS[-1], capsys)[1] == outputs[-2]
+
+
+# Each flag with a sample value and the settings it parses to, frozen: every
+# subcommand that accepts a flag parses it to the same settings.
+FLAG_SAMPLES = {
+    "--omega": (["2.5"], {"omega": 2.5}), "--rabi": (["0.5"], {"rabi": 0.5}),
+    "--n": (["3"], {"n": 3}), "--preset": (["paz4"], {"preset": "paz4"}),
+    "--epsilon": (["0.25"], {"epsilon": 0.25}), "--eps-min": (["0.1"], {"eps_min": 0.1}),
+    "--eps-max": (["0.9"], {"eps_max": 0.9}), "--eps-steps": (["7"], {"eps_steps": 7}),
+    "--t-min": (["0.5"], {"t_min": 0.5}), "--t-max": (["2"], {"t_max": 2.0}),
+    "--t-steps": (["9"], {"t_steps": 9}), "--nodes": (["64"], {"nodes": 64}),
+    "--scheme": (["gauss-legendre"], {"scheme": "gauss-legendre"}),
+    "--out": (["-"], {"out": "-"}), "--format": (["json-lines"], {"format": "json-lines"}),
+    "--select-both": ([], {"select_both": True}),
+    "--physical-time": ([], {"physical_time": True}),
+    "--full-search": ([], {"full_search": True}),
+    "--t1": (["1.5"], {"t1": 1.5}), "--t2": (["2"], {"t2": 2.0}),
+    "--times": (["0,1"], {"times": "0,1"}), "--outcomes": (["+1,-1"], {"outcomes": "+1,-1"}),
+    "--phase": (["0.75"], {"phase": 0.75}),
+    # every key of the file, read or not by the subcommand
+    "--config": (["CONFIG"], {"omega": 2.5, "epsilon": 0.4, "custom_abs": True}),
+}
+SHARED = "--config --omega --rabi --n --out --format"
+ACCEPTED = {
+    "fig1": f"{SHARED} --preset --t-min --t-max --t-steps --physical-time",
+    "fig2": f"{SHARED} --eps-min --eps-max --eps-steps",
+    "validate": f"{SHARED} --eps-min --eps-max --eps-steps --t-min --t-max --t-steps --nodes "
+                "--scheme --select-both --physical-time",
+    "threshold": f"{SHARED} --preset --full-search",
+    "correlate": f"{SHARED} --epsilon --nodes --scheme --select-both --physical-time --t1 --t2",
+    "trajectory": f"{SHARED} --physical-time --times --outcomes --phase",
+}
+# The shared flags each subcommand does not read (threshold's output does not
+# depend on epsilon): 47 pairs, each an argparse error.
+REFUSED = {
+    "fig1": "--eps-min --eps-max --eps-steps --epsilon --nodes --scheme --select-both",
+    "fig2": "--epsilon --nodes --physical-time --preset --scheme --select-both --t-min --t-max "
+            "--t-steps",
+    "validate": "--epsilon --preset",
+    "threshold": "--eps-min --eps-max --eps-steps --nodes --physical-time --scheme "
+                 "--select-both --t-min --t-max --t-steps --epsilon",
+    "correlate": "--eps-min --eps-max --eps-steps --preset --t-min --t-max --t-steps",
+    "trajectory": "--eps-min --eps-max --eps-steps --epsilon --nodes --preset --scheme "
+                  "--select-both --t-min --t-max --t-steps",
+}
+
+
+def _pairs(table):
+    return [(command, flag) for command, flags in table.items() for flag in flags.split()]
+
+
+class TestSettingsTable:
+    def test_flags_follow_the_table(self):
+        assert len(_pairs(REFUSED)) == 47
+        for command in cli._COMMANDS:
+            table_flags = {"--config"} | {
+                "--" + key.replace("_", "-") for key, setting in cli.SETTINGS.items()
+                if not setting.config_only and command in setting.commands.split()}
+            assert table_flags == set(ACCEPTED[command].split())
+            assert table_flags.isdisjoint(REFUSED[command].split())
+
+    @pytest.mark.parametrize("command, flag", _pairs(ACCEPTED))
+    def test_accepted_flag_parses_as_before(self, command, flag, tmp_path, monkeypatch):
+        config = tmp_path / "run.cfg"
+        config.write_text("omega = 2.5\nepsilon = 0.4\ncustom_abs = yes\n")
+        seen = []
+        monkeypatch.setitem(cli._COMMANDS, command, (lambda cfg: seen.append(cfg) or 0, ""))
+        values, expected = FLAG_SAMPLES[flag]
+        values = [str(config) if value == "CONFIG" else value for value in values]
+        assert cli.main([command, flag, *values]) == 0
+        assert seen == [expected]
+
+    @pytest.mark.parametrize("command, flag", _pairs(REFUSED))
+    def test_refused_flag_is_a_usage_error(self, command, flag, capfd):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([command, flag, *FLAG_SAMPLES[flag][0]])
+        out, err = capfd.readouterr()
+        assert exit_info.value.code == 2
+        assert out == ""
+        assert err.startswith("usage: tbell ")
+        assert f"unrecognized arguments: {flag}" in err
 
 
 class TestTrajectory:

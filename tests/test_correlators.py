@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from tbell import correlators
 from tbell.correlators import (
     CorrelationRequest,
     QuadratureConfig,
@@ -374,6 +375,26 @@ class TestOracle:
     def test_refuses_non_finite_inputs(self, t1, lags, name):
         with pytest.raises(ValueError, match=name):
             k_oracle_grid(t1, lags, np.array([0.3]), P, QuadratureConfig(64))
+
+    def test_never_calls_a_closed_form(self, monkeypatch):
+        # the oracle is the independent check of the factorization, so it must
+        # reach the same rows with every closed form in the module disabled
+        lags, eps_grid = np.linspace(0.0, 3.0, 5), np.array([0.0, 0.3, 0.5, 0.8, 1.0])
+        cases = [(QuadratureConfig(160, scheme), select_both)
+                 for scheme in ("uniform-midpoint", "gauss-legendre")
+                 for select_both in (False, True)]
+        expected = [k_oracle_grid(0.7, lags, eps_grid, P, quad, select_both=select_both)
+                    for quad, select_both in cases]
+
+        def closed_form(*args, **kwargs):
+            raise AssertionError("the oracle called a closed form")
+
+        for name in ("selection_factor", "selection_factor_derivative", "k_analytic",
+                     "k_selective_analytic"):
+            monkeypatch.setattr(correlators, name, closed_form)
+        for (quad, select_both), rows in zip(cases, expected):
+            assert np.array_equal(
+                k_oracle_grid(0.7, lags, eps_grid, P, quad, select_both=select_both), rows)
 
 
 class TestDisturbance:
