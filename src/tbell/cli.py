@@ -5,8 +5,8 @@ printed to 17 significant digits, so files are byte-stable across runs and
 re-parse exactly.  Time-valued inputs and outputs are dimensionless omega*t
 unless --physical-time is given.  Settings may come from a flat key=value
 config file; command-line flags win.  Each setting is declared once, in
-``SETTINGS``, and each subcommand accepts the flags of the settings it reads
-and no others.
+``SETTINGS``, and each subcommand accepts the flags of the settings it reads,
+spelled exactly as there, and no others.
 
 Exit codes: 0 success, 1 validation/runtime failure, 2 config error.
 """
@@ -58,7 +58,7 @@ SETTINGS = {
     "omega": Setting(float, _EVERY, "angular frequency (default 1.0)"),
     "rabi": Setting(float, _EVERY, "vacuum Rabi frequency (cavity mode)"),
     "n": Setting(int, _EVERY, "photon number for the cavity mode"),
-    "preset": Setting(str, "fig1 threshold", choices=(*inequalities.PRESETS, "custom")),
+    "preset": Setting(str, "threshold", choices=(*inequalities.PRESETS, "custom")),
     "epsilon": Setting(float, "correlate", "distinguishability threshold"),
     "eps_min": Setting(float, "fig2 validate"),
     "eps_max": Setting(float, "fig2 validate"),
@@ -80,10 +80,10 @@ SETTINGS = {
     "times": Setting(str, "trajectory", "comma-separated measurement times"),
     "outcomes": Setting(str, "trajectory", "comma-separated outcomes, e.g. +1,-1,+1"),
     "phase": Setting(float, "trajectory", "anchor instant t' (default 0)"),
-    "custom_n_times": Setting(int, "fig1 threshold", config_only=True),
-    "custom_terms": Setting(str, "fig1 threshold", config_only=True),
-    "custom_bound": Setting(float, "fig1 threshold", config_only=True),
-    "custom_abs": Setting(bool, "fig1 threshold", config_only=True),
+    "custom_n_times": Setting(int, "threshold", config_only=True),
+    "custom_terms": Setting(str, "threshold", config_only=True),
+    "custom_bound": Setting(float, "threshold", config_only=True),
+    "custom_abs": Setting(bool, "threshold", config_only=True),
 }
 
 _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
@@ -134,19 +134,30 @@ def _load_config_file(path: str) -> dict:
     return values
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses an unknown argument itself, so a subcommand shows its own usage."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        args, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error("unrecognized arguments: " + " ".join(extras))
+        return args, extras
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process on first use and shared by
     every call: callers must not modify it (``parse_args`` does not)."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tbell",
         description="Temporal Bell inequalities for a measured two-level system.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (_, text) in _COMMANDS.items():
         # an argument group adds a flag without the help formatter that
         # ArgumentParser.add_argument builds to check each one
-        group = sub.add_parser(command, help=text).add_argument_group("settings")
+        group = sub.add_parser(command, help=text, allow_abbrev=False).add_argument_group("settings")
         group.add_argument("--config", help="flat key=value settings file (flags win)")
         for key, setting in SETTINGS.items():
             if setting.config_only or command not in setting.commands.split():
@@ -192,8 +203,8 @@ def _grid(lo: float, hi: float, steps: int, setting: str) -> np.ndarray:
     return np.linspace(lo, hi, steps)
 
 
-def _spec_from_config(cfg: dict, default: str | None = None) -> tuple[str, inequalities.InequalitySpec]:
-    name = cfg.get("preset", default)
+def _spec_from_config(cfg: dict) -> tuple[str, inequalities.InequalitySpec]:
+    name = cfg.get("preset")
     if name is None:
         raise ConfigError("a --preset is required")
     if name in inequalities.PRESETS:
@@ -271,9 +282,7 @@ def _physical_times(scale: float, times: dict[str, float]) -> list[float]:
 
 def cmd_fig1(cfg: dict) -> int:
     params = _effective_params(cfg)
-    name, spec = _spec_from_config(cfg, default="santos-minus")
-    if spec is not inequalities.SANTOS_MINUS:
-        raise ConfigError("fig1 draws the santos-minus combination; pass that preset")
+    spec = inequalities.SANTOS_MINUS
     axis_name, scale = _time_axis(cfg, params)
     ends = {"t_min": cfg.get("t_min", 0.0), "t_max": cfg.get("t_max", 4.0 * math.pi)}
     for name, t in zip(ends, _physical_times(scale, ends)):
@@ -287,14 +296,23 @@ def cmd_fig1(cfg: dict) -> int:
     return 0
 
 
-def cmd_fig2(cfg: dict) -> int:
-    params = _effective_params(cfg)
+def _epsilon_axis(cfg: dict, steps: int, lags: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """The epsilon grid and A(eps) on it; a table of more than ``MAX_GRID_POINTS``
+    (epsilon, lag) cells is refused before A is computed."""
     eps_grid = _grid(cfg.get("eps_min", 0.0), cfg.get("eps_max", 1.0),
-                     cfg.get("eps_steps", 101), "eps_steps")
+                     cfg.get("eps_steps", steps), "eps_steps")
     if np.any((eps_grid < 0) | (eps_grid > 1)):
         raise ConfigError("epsilon grid must stay inside [0, 1]")
-    a_eps = np.array([correlators.selection_factor(SelectionPolicy(eps))
-                      for eps in eps_grid.tolist()])
+    if eps_grid.size * lags > MAX_GRID_POINTS:
+        raise ConfigError(f"eps_steps x t_steps must be at most {MAX_GRID_POINTS} cells, "
+                          f"got {eps_grid.size} x {lags}")
+    return eps_grid, np.array([correlators.selection_factor(SelectionPolicy(eps))
+                               for eps in eps_grid.tolist()])
+
+
+def cmd_fig2(cfg: dict) -> int:
+    params = _effective_params(cfg)
+    eps_grid, a_eps = _epsilon_axis(cfg, 101)
     columns = {"epsilon": eps_grid}
     for label, spec in (("paz", inequalities.PAZ4), ("santos", inequalities.SANTOS_MINUS)):
         dk_max = inequalities.maximize_violation(spec, params, SelectionPolicy(0.0)).delta_k_max
@@ -325,23 +343,15 @@ def _select_both_closed_form(oracle: np.ndarray, eps: np.ndarray, omega_lag: np.
 def cmd_validate(cfg: dict) -> int:
     params = _effective_params(cfg)
     quad = _quadrature(cfg)
-    eps_grid = _grid(cfg.get("eps_min", 0.0), cfg.get("eps_max", 1.0),
-                     cfg.get("eps_steps", 21), "eps_steps")
-    if np.any((eps_grid < 0) | (eps_grid > 1)):
-        raise ConfigError("epsilon grid must stay inside [0, 1]")
     _, scale = _time_axis(cfg, params)
     t_min, t_max = cfg.get("t_min", 0.0), cfg.get("t_max", math.pi)
     _physical_times(scale, {"t_min": t_min, "t_max": t_max})
     lags = _grid(t_min, t_max, cfg.get("t_steps", 64), "t_steps") * scale
-    if eps_grid.size * lags.size > MAX_GRID_POINTS:
-        raise ConfigError(f"eps_steps x t_steps must be at most {MAX_GRID_POINTS} cells, "
-                          f"got {eps_grid.size} x {lags.size}")
+    eps_grid, factors = _epsilon_axis(cfg, 21, lags.size)
     select_both = bool(cfg.get("select_both", False))
 
     oracle = correlators.k_oracle_grid(0.0, lags, eps_grid, params, quad,
                                        select_both=select_both)
-    factors = np.array([correlators.selection_factor(SelectionPolicy(eps))
-                        for eps in eps_grid.tolist()])
     if select_both:
         analytic = _select_both_closed_form(oracle, eps_grid, params.omega * lags, factors)
     else:

@@ -46,11 +46,6 @@ class TestFig1:
         assert revival[1] == pytest.approx(1.0, abs=1e-12)
         assert all(row[3] == 1.0 for row in rows)
 
-    def test_rejects_other_presets(self, capsys):
-        code, _, err = run_cli(["fig1", "--preset", "paz4"], capsys)
-        assert code == 2
-        assert "santos-minus" in err
-
     def test_huge_omega(self, capsys):
         # 2 * omega overflows at omega = 1e308; the phase omega * t does not
         tables = []
@@ -442,7 +437,7 @@ FLAG_SAMPLES = {
 }
 SHARED = "--config --omega --rabi --n --out --format"
 ACCEPTED = {
-    "fig1": f"{SHARED} --preset --t-min --t-max --t-steps --physical-time",
+    "fig1": f"{SHARED} --t-min --t-max --t-steps --physical-time",
     "fig2": f"{SHARED} --eps-min --eps-max --eps-steps",
     "validate": f"{SHARED} --eps-min --eps-max --eps-steps --t-min --t-max --t-steps --nodes "
                 "--scheme --select-both --physical-time",
@@ -451,9 +446,10 @@ ACCEPTED = {
     "trajectory": f"{SHARED} --physical-time --times --outcomes --phase",
 }
 # The shared flags each subcommand does not read (threshold's output does not
-# depend on epsilon): 47 pairs, each an argparse error.
+# depend on epsilon, and fig1 draws santos-minus only): 48 pairs, each an
+# argparse error.
 REFUSED = {
-    "fig1": "--eps-min --eps-max --eps-steps --epsilon --nodes --scheme --select-both",
+    "fig1": "--eps-min --eps-max --eps-steps --epsilon --nodes --preset --scheme --select-both",
     "fig2": "--epsilon --nodes --physical-time --preset --scheme --select-both --t-min --t-max "
             "--t-steps",
     "validate": "--epsilon --preset",
@@ -463,6 +459,11 @@ REFUSED = {
     "trajectory": "--eps-min --eps-max --eps-steps --epsilon --nodes --preset --scheme "
                   "--select-both --t-min --t-max --t-steps",
 }
+# Abbreviations that argparse's prefix matching once accepted, each with the
+# flag it stood for: a flag has one spelling, the one in SETTINGS.
+ABBREVIATED = [("threshold", "--full", "--full-search"), ("threshold", "--pre", "--preset"),
+               ("correlate", "--eps", "--epsilon"), ("validate", "--select", "--select-both"),
+               ("fig1", "--physical", "--physical-time"), ("trajectory", "--outc", "--outcomes")]
 
 
 def _pairs(table):
@@ -471,7 +472,7 @@ def _pairs(table):
 
 class TestSettingsTable:
     def test_flags_follow_the_table(self):
-        assert len(_pairs(REFUSED)) == 47
+        assert len(_pairs(REFUSED)) == 48
         for command in cli._COMMANDS:
             table_flags = {"--config"} | {
                 "--" + key.replace("_", "-") for key, setting in cli.SETTINGS.items()
@@ -497,8 +498,22 @@ class TestSettingsTable:
         out, err = capfd.readouterr()
         assert exit_info.value.code == 2
         assert out == ""
-        assert err.startswith("usage: tbell ")
-        assert f"unrecognized arguments: {flag}" in err
+        assert err.startswith(f"usage: tbell {command} [-h] [--config CONFIG]")
+        assert err.endswith(f"tbell {command}: error: unrecognized arguments: "
+                            f"{' '.join([flag, *FLAG_SAMPLES[flag][0]])}\n")
+
+    @pytest.mark.parametrize("command, abbreviation, flag", ABBREVIATED)
+    def test_abbreviated_flag_is_a_usage_error(self, command, abbreviation, flag, monkeypatch,
+                                               capfd):
+        monkeypatch.setitem(cli._COMMANDS, command, (lambda cfg: 0, ""))
+        assert cli.main([command, flag, *FLAG_SAMPLES[flag][0]]) == 0
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([command, abbreviation, *FLAG_SAMPLES[flag][0]])
+        out, err = capfd.readouterr()
+        assert exit_info.value.code == 2
+        assert out == ""
+        assert err.startswith(f"usage: tbell {command} [-h] [--config CONFIG]")
+        assert f"tbell {command}: error: unrecognized arguments: {abbreviation}" in err
 
 
 class TestTrajectory:

@@ -348,6 +348,29 @@ class TestOracle:
                         expected = selection_factor(policy(eps)) * np.cos(2.0 * omega * lags)
                         assert np.max(np.abs(grid[i] - expected)) <= 1e-14
 
+    @pytest.mark.parametrize("omega, t1", [(1.0, 0.0), (2.3, 1.7), (0.7, -5.2)])
+    def test_midpoint_error_is_its_euler_maclaurin_term(self, omega, t1):
+        # Each of the four crossings of I_q ends a run of whole cells, where the
+        # midpoint rule errs by (h^2 / 24) |p_q'|, with |p_q'| = 2 sqrt(eps (1 - eps))
+        # and h = 2 pi / N: over two outcomes and 2 pi that is
+        # (4 pi / (3 N^2)) sqrt(eps (1 - eps)) per unit of cos(2 omega lag), with an
+        # O(N^-3) residual.  The bounds are twice the measured residuals.
+        eps_grid = np.linspace(0.0, 1.0, 101)
+        lags = np.linspace(0.0, math.pi / omega, 256, endpoint=False)
+        factors = np.array([selection_factor(policy(eps)) for eps in eps_grid])
+        free = np.cos(2.0 * omega * lags)
+        errors = {}
+        for nodes, bound in ((4096, 3.2e-11), (10_000, 2.3e-12), (10001, 3.9e-14), (20002, None)):
+            grid = k_oracle_grid(t1, lags, eps_grid, DynamicsParams(omega),
+                                 QuadratureConfig(nodes, "uniform-midpoint"))
+            errors[nodes] = grid - factors[:, None] * free
+            model = (4.0 * math.pi / (3.0 * nodes**2)) * np.sqrt(eps_grid * (1.0 - eps_grid))
+            if bound is not None:
+                assert np.max(np.abs(errors[nodes] - model[:, None] * free)) <= bound
+        # doubling N quarters the error at every interior epsilon (lag 0)
+        ratio = errors[10001][1:-1, 0] / errors[20002][1:-1, 0]
+        assert np.max(np.abs(ratio - 4.0)) <= 1e-4
+
     def test_select_both_matches_at_zero_threshold(self):
         lags = np.linspace(0.0, 3.0, 9)
         plain = k_oracle_grid(0.0, lags, np.array([0.0]), P, QuadratureConfig(512))
