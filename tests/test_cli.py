@@ -46,6 +46,15 @@ class TestFig1:
         assert revival[1] == pytest.approx(1.0, abs=1e-12)
         assert all(row[3] == 1.0 for row in rows)
 
+    def test_rejects_other_presets(self, capsys):
+        # fig1 draws santos-minus only, so it takes no --preset at all
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["fig1", "--preset", "paz4"])
+        out, err = capsys.readouterr()
+        assert exit_info.value.code == 2
+        assert out == ""
+        assert err.endswith("tbell fig1: error: unrecognized arguments: --preset paz4\n")
+
     def test_huge_omega(self, capsys):
         # 2 * omega overflows at omega = 1e308; the phase omega * t does not
         tables = []
